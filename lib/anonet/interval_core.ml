@@ -6,6 +6,7 @@ type t = {
   beta : Is.t;
   label : Is.t;
   seen_alpha : Is.t;
+  sent : Is.t;
 }
 
 type outgoing = { port : int; d_alpha : Is.t; d_beta : Is.t }
@@ -17,6 +18,7 @@ let create ~out_degree =
     beta = Is.empty;
     label = Is.empty;
     seen_alpha = Is.empty;
+    sent = Is.empty;
   }
 
 (* Flood a beta delta on every port (no alpha news anywhere). *)
@@ -37,7 +39,7 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
     in
     let initialized = state.initialized || not (Is.is_empty alpha') in
     let beta = Is.union state.beta beta' in
-    ({ state with initialized; beta; label; seen_alpha }, [])
+    ({ state with initialized; beta; label; seen_alpha; sent = label }, [])
   end
   else if (not state.initialized) && not (Is.is_empty alpha') then begin
     (* First real commodity: canonical partition (Definition 4.1). *)
@@ -57,7 +59,9 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
       List.init d (fun port ->
           { port; d_alpha = port_parts.(port); d_beta })
     in
-    ( { initialized = true; alpha = port_parts; beta; label; seen_alpha },
+    (* Label and port parts partition alpha', so all of it counts as sent. *)
+    ( { initialized = true; alpha = port_parts; beta; label; seen_alpha;
+        sent = alpha' },
       sends )
   end
   else if not state.initialized then begin
@@ -69,12 +73,8 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
   else begin
     (* Initialized: unseen alpha continues on the last port; already-sent
        alpha is a detected cycle and joins beta (Section 4's f). *)
-    let sent_union =
-      Array.fold_left Is.union (if assign_label then state.label else Is.empty)
-        state.alpha
-    in
-    let new_alpha = Is.diff alpha' sent_union in
-    let cycles = Is.inter alpha' sent_union in
+    let new_alpha = Is.diff alpha' state.sent in
+    let cycles = Is.inter alpha' state.sent in
     let beta = Is.union (Is.union state.beta beta') cycles in
     let d_beta = Is.diff beta state.beta in
     let last = d - 1 in
@@ -88,7 +88,8 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
         List.init d (fun port ->
             { port; d_alpha = (if port = last then new_alpha else Is.empty); d_beta })
     in
-    ({ state with alpha; beta; seen_alpha }, sends)
+    let sent = Is.union state.sent new_alpha in
+    ({ state with alpha; beta; seen_alpha; sent }, sends)
   end
 
 (* Canonical fingerprint for the model checker: every field is behavioral
@@ -133,4 +134,7 @@ let invariant ?prev state =
         && Is.subset p.seen_alpha state.seen_alpha
         && (p.initialized <= state.initialized)
   in
-  pairwise_disjoint && monotone
+  let sent_exact =
+    Is.equal state.sent (Array.fold_left Is.union state.label state.alpha)
+  in
+  pairwise_disjoint && sent_exact && monotone

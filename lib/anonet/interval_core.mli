@@ -23,6 +23,10 @@ type t = {
   beta : Intervals.Iset.t;
   label : Intervals.Iset.t;  (** Empty unless labeling mode initialized. *)
   seen_alpha : Intervals.Iset.t;  (** Union of every received alpha. *)
+  sent : Intervals.Iset.t;
+      (** [label] union every [alpha.(j)]: the alpha this vertex has already
+          passed on, against which an arrival is split into new alpha and
+          detected cycle.  Derived, kept incrementally. *)
 }
 
 type outgoing = {
@@ -55,4 +59,5 @@ val digest : t -> string
 
 val invariant : ?prev:t -> t -> bool
 (** Structural invariants: [alpha.(j)] pairwise disjoint and disjoint from
-    the label; with [?prev], state-monotonicity w.r.t. that earlier state. *)
+    the label; [sent] equal to the label union every [alpha.(j)]; with
+    [?prev], state-monotonicity w.r.t. that earlier state. *)

@@ -191,6 +191,37 @@ let shift_left (x : t) k =
     normalize r
   end
 
+(* Limb [i] of [x lsl (q * limb_bits + r)], read in place. *)
+let shifted_limb (x : t) q r i =
+  let j = i - q and lx = Array.length x in
+  let hi = if j >= 0 && j < lx then (x.(j) lsl r) land limb_mask else 0 in
+  let lo = if r > 0 && j >= 1 && j <= lx then x.(j - 1) lsr (limb_bits - r) else 0 in
+  hi lor lo
+
+let compare_shifted (a : t) ka (b : t) kb =
+  if ka < 0 || kb < 0 then invalid_arg "Bignat.compare_shifted: negative shift";
+  if is_zero a || is_zero b then Stdlib.compare (Array.length a) (Array.length b)
+  else if ka = kb then compare a b
+  else begin
+    let na = bit_length a + ka in
+    let c = Stdlib.compare na (bit_length b + kb) in
+    if c <> 0 then c
+    else begin
+      let qa = ka / limb_bits and ra = ka mod limb_bits in
+      let qb = kb / limb_bits and rb = kb mod limb_bits in
+      (* Below limb [min qa qb] both shifted values are all zeros. *)
+      let stop = Stdlib.min qa qb in
+      let rec go i =
+        if i < stop then 0
+        else begin
+          let da = shifted_limb a qa ra i and db = shifted_limb b qb rb i in
+          if da <> db then Stdlib.compare da db else go (i - 1)
+        end
+      in
+      go ((na - 1) / limb_bits)
+    end
+  end
+
 let shift_right (x : t) k =
   if k < 0 then invalid_arg "Bignat.shift_right: negative shift";
   if is_zero x || k = 0 then x

@@ -63,6 +63,11 @@ val gcd : t -> t -> t
 val shift_left : t -> int -> t
 val shift_right : t -> int -> t
 
+val compare_shifted : t -> int -> t -> int -> int
+(** [compare_shifted a ka b kb] is [compare (shift_left a ka) (shift_left b kb)],
+    computed in place without building either shifted value.
+    @raise Invalid_argument on a negative shift. *)
+
 val bit_length : t -> int
 (** Number of significant bits; [bit_length zero = 0]. *)
 

@@ -76,8 +76,8 @@ let compare x y =
   | sx, sy when sx <> sy -> Stdlib.compare sx sy
   | 0, _ -> 0
   | s, _ ->
-      let mx, my, _ = align x y in
-      let c = B.compare mx my in
+      let e = Stdlib.max x.exp y.exp in
+      let c = B.compare_shifted x.mant (e - x.exp) y.mant (e - y.exp) in
       if s > 0 then c else -c
 
 let equal x y = compare x y = 0

@@ -40,7 +40,19 @@ let measure s = Dy.sum (List.map I.measure s)
 
 let mem x s = List.exists (I.mem x) s
 
-let union a b = of_intervals (a @ b)
+let union a b =
+  match (a, b) with
+  | [], s | s, [] -> s
+  | _ ->
+      (* Two-pointer merge of the sorted normal forms, then coalesce. *)
+      let rec merge acc a b =
+        match (a, b) with
+        | [], rest | rest, [] -> List.rev_append acc rest
+        | ia :: ra, ib :: rb ->
+            if I.compare ia ib <= 0 then merge (ia :: acc) ra b
+            else merge (ib :: acc) a rb
+      in
+      coalesce (merge [] a b)
 
 let inter a b =
   (* Two-pointer sweep over the sorted normal forms. *)
@@ -55,23 +67,30 @@ let inter a b =
   go [] a b
 
 let diff a b =
-  (* Subtract each interval of [b] from the running pieces of [a]. *)
-  let subtract_one iv cut =
-    if not (I.overlaps iv cut) then [ iv ]
-    else
-      [ I.make (I.lo iv) (Dy.min (I.hi iv) (I.lo cut));
-        I.make (Dy.max (I.lo iv) (I.hi cut)) (I.hi iv) ]
-      |> List.filter (fun i -> not (I.is_empty i))
+  (* One sweep: [cur] is what is left of the current interval of [a]; a cut
+     of [b] emits the piece left of it and carries the piece right of it.
+     Pieces are separated by non-empty cuts or by gaps of [a], so the output
+     is already in normal form. *)
+  let rec next acc a b =
+    match a with [] -> List.rev acc | cur :: ra -> sweep acc cur ra b
+  and sweep acc cur ra b =
+    match b with
+    | [] -> List.rev_append acc (cur :: ra)
+    | cut :: rb ->
+        if Dy.compare (I.hi cut) (I.lo cur) <= 0 then sweep acc cur ra rb
+        else if Dy.compare (I.hi cur) (I.lo cut) <= 0 then next (cur :: acc) ra b
+        else begin
+          let acc =
+            if Dy.compare (I.lo cur) (I.lo cut) < 0 then
+              I.make (I.lo cur) (I.lo cut) :: acc
+            else acc
+          in
+          if Dy.compare (I.hi cut) (I.hi cur) < 0 then
+            sweep acc (I.make (I.hi cut) (I.hi cur)) ra rb
+          else next acc ra b
+        end
   in
-  let rec sub_all iv cuts =
-    match cuts with
-    | [] -> [ iv ]
-    | cut :: rest -> List.concat_map (fun piece -> sub_all piece rest) (subtract_one iv cut)
-  in
-  (* Normal form is already sorted/disjoint, so the result needs no
-     re-coalescing, but going through of_intervals keeps the invariant
-     locally obvious. *)
-  of_intervals (List.concat_map (fun iv -> sub_all iv b) a)
+  match b with [] -> a | _ -> next [] a b
 
 let subset a b = is_empty (diff a b)
 let disjoint a b = is_empty (inter a b)
@@ -91,7 +110,7 @@ let canonical_partition s d =
       let parts = List.map of_interval slices in
       let rec attach_rest = function
         | [] -> assert false
-        | [ last ] -> [ union last (of_intervals rest) ]
+        | [ last ] -> [ union last rest ]
         | p :: ps -> p :: attach_rest ps
       in
       attach_rest parts

@@ -99,6 +99,52 @@ let gen_iset : Is.t QCheck.Gen.t =
 
 let arb_iset = QCheck.make ~print:Is.to_string gen_iset
 
+(* Wide endpoints: exponents up to 200 and mantissas over several 30-bit
+   limbs, so comparisons take the multi-limb path.  Three kinds are mixed:
+   uniform wide values; coarse multiples of 1/16, which coincide across
+   sets (shared and adjacent endpoints); and a coarse value nudged by a
+   tiny power of two, which agrees with it on every limb but the last. *)
+let gen_wide_unit_dyadic : Dy.t QCheck.Gen.t =
+  QCheck.Gen.(
+    let limb = int_bound ((1 lsl 30) - 1) in
+    let uniform =
+      int_range 1 200 >>= fun e ->
+      list_repeat ((e + 29) / 30) limb >|= fun limbs ->
+      let m =
+        List.fold_left
+          (fun acc l -> B.add (B.shift_left acc 30) (B.of_int l))
+          B.zero limbs
+      in
+      Dy.make (B.rem m (B.pow2 e)) e
+    in
+    let coarse = map (fun k -> Dy.make (B.of_int k) 4) (int_bound 15) in
+    let nudged =
+      map3
+        (fun k e up ->
+          let tiny = Dy.pow2 (-e) in
+          if up then Dy.add (Dy.make (B.of_int k) 4) tiny
+          else Dy.sub (Dy.make (B.of_int (k + 1)) 4) tiny)
+        (int_bound 15) (int_range 100 200) bool
+    in
+    frequency [ (2, uniform); (1, coarse); (1, nudged) ])
+
+let arb_wide_unit_dyadic = QCheck.make ~print:Dy.to_string gen_wide_unit_dyadic
+
+(* Up to ~40 intervals: consecutive pairs of sorted distinct wide points,
+   each kept with probability 1/2. *)
+let gen_wide_iset : Is.t QCheck.Gen.t =
+  QCheck.Gen.(
+    list_size (int_range 0 80) (pair gen_wide_unit_dyadic bool) >|= fun points ->
+    let points = List.sort_uniq (fun (x, _) (y, _) -> Dy.compare x y) points in
+    let rec pairs = function
+      | (lo, keep) :: ((hi, _) :: _ as rest) ->
+          if keep then I.make lo hi :: pairs rest else pairs rest
+      | _ -> []
+    in
+    Is.of_intervals (pairs points))
+
+let arb_wide_iset = QCheck.make ~print:Is.to_string gen_wide_iset
+
 (* {1 Graph samplers} *)
 
 let gen_grounded_tree : Digraph.t QCheck.Gen.t =

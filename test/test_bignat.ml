@@ -212,6 +212,39 @@ let prop_compare_total_order =
       | c when c < 0 -> not (B.is_zero (B.sub b a))
       | _ -> not (B.is_zero (B.sub a b)))
 
+(* Independent operands, plus one value split two ways between mantissa and
+   shift (and possibly nudged by one), so equal bit lengths send the
+   comparison down to the last limb. *)
+let arb_shift_case =
+  let gen =
+    QCheck.Gen.(
+      let independent =
+        quad gen_bignat (int_bound 200) gen_bignat (int_bound 200)
+      in
+      let split =
+        quad gen_bignat (int_bound 200) (int_bound 200) (int_range (-1) 1)
+        >|= fun (a, ka, d, nudge) ->
+        let b =
+          if nudge > 0 then B.succ a
+          else if nudge < 0 && not (B.is_zero a) then B.pred a
+          else a
+        in
+        (B.shift_left a d, ka, b, ka + d)
+      in
+      oneof [ independent; split ])
+  in
+  QCheck.make
+    ~print:(fun (a, ka, b, kb) ->
+      Printf.sprintf "(%s << %d) vs (%s << %d)" (B.to_string a) ka (B.to_string b) kb)
+    gen
+
+let prop_compare_shifted =
+  qcheck_to_alcotest ~count:500 "compare_shifted = compare of shifted values"
+    arb_shift_case
+    (fun (a, ka, b, kb) ->
+      let expect = B.compare (B.shift_left a ka) (B.shift_left b kb) in
+      B.compare_shifted a ka b kb = expect && B.compare_shifted b kb a ka = -expect)
+
 let prop_int_roundtrip =
   qcheck_to_alcotest "to_int_opt on small values" arb_small_nat (fun n ->
       B.to_int_opt (B.of_int n) = Some n)
@@ -255,6 +288,7 @@ let () =
           prop_string_roundtrip;
           prop_bit_length_bounds;
           prop_compare_total_order;
+          prop_compare_shifted;
           prop_int_roundtrip;
         ] );
     ]

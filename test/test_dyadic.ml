@@ -99,6 +99,27 @@ let prop_compare_agrees_with_rational =
     QCheck.(pair arb_dyadic arb_dyadic)
     (fun (a, b) -> Dy.compare a b = Q.compare (Dy.to_rational a) (Dy.to_rational b))
 
+(* Independent wide endpoints, or one endpoint and itself nudged by a
+   power of two: a different exponent over the same leading limbs. *)
+let arb_wide_pair =
+  let gen =
+    QCheck.Gen.(
+      gen_wide_unit_dyadic >>= fun a ->
+      oneof
+        [
+          map (fun b -> (a, b)) gen_wide_unit_dyadic;
+          map2
+            (fun e up -> (a, (if up then Dy.add else Dy.sub) a (Dy.pow2 (-e))))
+            (int_range 1 220) bool;
+        ])
+  in
+  QCheck.make ~print:QCheck.Print.(pair Dy.to_string Dy.to_string) gen
+
+let prop_compare_agrees_with_rational_wide =
+  qcheck_to_alcotest ~count:500 "compare agrees with rationals (wide endpoints)"
+    arb_wide_pair
+    (fun (a, b) -> Dy.compare a b = Q.compare (Dy.to_rational a) (Dy.to_rational b))
+
 let prop_normal_form =
   qcheck_to_alcotest "normal form: odd mantissa or zero exponent" arb_dyadic (fun a ->
       if Dy.is_zero a then Dy.exponent a = 0 && not (Dy.is_negative a)
@@ -154,6 +175,7 @@ let () =
           prop_mul_agrees_with_rational;
           prop_add_agrees_with_rational;
           prop_compare_agrees_with_rational;
+          prop_compare_agrees_with_rational_wide;
           prop_normal_form;
           prop_mul_pow2_roundtrip;
           prop_midpoint_between;

@@ -155,6 +155,30 @@ let test_payload_term () =
     (plain.total_bits + (64 * plain.deliveries))
     with_m.total_bits
 
+(* Byte-identity gate: the full report of general broadcast on
+   random:800:1 (the 802-vertex, 2118-edge instance behind the CLI timing
+   in EXPERIMENTS.md), on both engines, pinned to the values of the
+   sort-based interval algebra.  A rewrite of Iset, Dyadic or
+   Interval_core that moves a single delivery or bit fails here. *)
+let test_report_pinned () =
+  let g =
+    match F.of_spec "random:800:1" with Ok g -> g | Error e -> Alcotest.fail e
+  in
+  let module Flat = Flatcore.Engine.Make (GB) in
+  List.iter
+    (fun (engine, (r : GB.state E.report)) ->
+      let check what = Alcotest.(check int) (engine ^ ": " ^ what) in
+      Alcotest.check outcome (engine ^ ": outcome") E.Terminated r.outcome;
+      Alcotest.(check bool) (engine ^ ": all visited") true
+        (Array.for_all Fun.id r.visited);
+      check "deliveries" 40_328 r.deliveries;
+      check "total bits" 2_146_077 r.total_bits;
+      check "busiest edge" 2_771 r.max_edge_bits;
+      check "largest message" 85 r.max_message_bits;
+      check "distinct symbols" 1_792 r.distinct_messages;
+      check "max state bits" 13_258 r.max_state_bits)
+    [ ("classic", GB_engine.run g); ("flat", Flat.run g) ]
+
 let () =
   Alcotest.run "general-broadcast"
     [
@@ -176,5 +200,6 @@ let () =
           prop_per_edge_message_bound;
           Alcotest.test_case "monotone coverage" `Quick test_monotone_coverage_at_terminal;
           Alcotest.test_case "payload |m| term" `Quick test_payload_term;
+          Alcotest.test_case "random:800:1 report pinned" `Quick test_report_pinned;
         ] );
     ]

@@ -159,6 +159,26 @@ let test_accepting () =
   let st2, _ = IC.step ~assign_label:false st2 ~alpha:half ~beta:Is.empty in
   Alcotest.(check bool) "half coverage not accepting" false (IC.accepting st2)
 
+let test_sent_drift_caught () =
+  let quarter = Is.interval Exact.Dyadic.zero (Exact.Dyadic.pow2 (-2)) in
+  List.iter
+    (fun assign_label ->
+      let st = IC.create ~out_degree:2 in
+      let st, _ = IC.step ~assign_label st ~alpha:Is.unit ~beta:Is.empty in
+      let st, _ = IC.step ~assign_label st ~alpha:quarter ~beta:Is.empty in
+      Alcotest.(check bool) "consistent cache passes" true (IC.invariant st);
+      List.iter
+        (fun (what, sent) ->
+          Alcotest.(check bool) what false (IC.invariant { st with IC.sent }))
+        [
+          ("stale sent (empty) fails", Is.empty);
+          ("sent missing a piece fails", Is.diff st.IC.sent quarter);
+          ( "sent with extra content fails",
+            Is.union st.IC.sent
+              (Is.interval Exact.Dyadic.one (Exact.Dyadic.of_int 2)) );
+        ])
+    [ false; true ]
+
 let () =
   Alcotest.run "interval-core"
     [
@@ -171,6 +191,7 @@ let () =
           Alcotest.test_case "beta before init" `Quick test_beta_only_before_init;
           Alcotest.test_case "quiet when nothing new" `Quick test_quiet_when_nothing_new;
           Alcotest.test_case "accepting" `Quick test_accepting;
+          Alcotest.test_case "sent drift caught" `Quick test_sent_drift_caught;
         ] );
       ( "properties",
         [

@@ -206,6 +206,57 @@ let prop_iset_codec =
       in
       Is.equal (Is.read r) s && Bitio.Bit_writer.length w = Is.size_bits s)
 
+(* {1 Differential properties against the sort-based oracle}
+
+   Run on both the one-limb [arb_iset] and the multi-limb [arb_wide_iset]. *)
+
+let differential name op ref_op eq =
+  List.map
+    (fun (label, arb) ->
+      qcheck_to_alcotest ~count:300
+        (Printf.sprintf "%s matches oracle (%s)" name label)
+        QCheck.(pair arb arb)
+        (fun (a, b) -> eq (op a b) (ref_op a b)))
+    [ ("narrow", arb_iset); ("wide", arb_wide_iset) ]
+
+let prop_differential =
+  List.concat
+    [
+      differential "union" Is.union Iset_ref.union Is.equal;
+      differential "inter" Is.inter Iset_ref.inter Is.equal;
+      differential "diff" Is.diff Iset_ref.diff Is.equal;
+      differential "subset" Is.subset Iset_ref.subset Bool.equal;
+      (* Subsets hit subset's true branch, which random pairs rarely do. *)
+      differential "subset of union" (fun a b -> Is.subset a (Is.union a b))
+        (fun a b -> Iset_ref.subset a (Iset_ref.union a b))
+        Bool.equal;
+    ]
+
+let prop_canonical_partition_oracle =
+  qcheck_to_alcotest ~count:300 "canonical partition matches oracle (wide)"
+    QCheck.(pair arb_wide_iset (int_range 1 8))
+    (fun (s, d) ->
+      List.equal Is.equal (Is.canonical_partition s d) (Iset_ref.canonical_partition s d))
+
+let prop_wide_normal_form =
+  qcheck_to_alcotest ~count:300 "union/diff output is in normal form (wide)"
+    QCheck.(pair arb_wide_iset arb_wide_iset)
+    (fun (a, b) ->
+      List.for_all
+        (fun s -> Is.equal s (Is.of_intervals (Is.intervals s)))
+        [ Is.union a b; Is.diff a b; Is.inter a b ])
+
+let prop_wide_iset_codec =
+  qcheck_to_alcotest "iset codec roundtrip (wide)" arb_wide_iset (fun s ->
+      let w = Bitio.Bit_writer.create () in
+      Is.write w s;
+      let r =
+        Bitio.Bit_reader.of_string
+          ~length_bits:(Bitio.Bit_writer.length w)
+          (Bitio.Bit_writer.to_string w)
+      in
+      Is.equal (Is.read r) s && Bitio.Bit_writer.length w = Is.size_bits s)
+
 let () =
   Alcotest.run "intervals"
     [
@@ -245,4 +296,11 @@ let () =
           prop_canonical_partition_interval_budget;
           prop_iset_codec;
         ] );
+      ( "iset-oracle",
+        prop_differential
+        @ [
+            prop_canonical_partition_oracle;
+            prop_wide_normal_form;
+            prop_wide_iset_codec;
+          ] );
     ]
