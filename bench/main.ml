@@ -7,9 +7,7 @@
      dune exec bench/main.exe -- e4 e7     # selected tables
      dune exec bench/main.exe -- timing    # Bechamel micro-benchmarks only
      dune exec bench/main.exe -- campaign  # fault campaign, JSON on stdout
-     dune exec bench/main.exe -- check     # model-checking sweep, JSON on stdout
-     dune exec bench/main.exe -- throughput        # E15 multicore sweep, JSON
-     dune exec bench/main.exe -- throughput:small  # CI-sized variant *)
+     dune exec bench/main.exe -- check     # model-checking sweep, JSON on stdout *)
 
 module G = Digraph
 module F = Digraph.Families
@@ -603,73 +601,17 @@ let check () =
   Buffer.add_string b "\n]\n";
   print_string (Buffer.contents b)
 
-(* {1 E15 — multicore throughput (JSON)} *)
-
-(* Wall-clock sweep of the sharded engine over domain counts on one large
-   layered digraph, flooding (1-bit messages, one delivery per edge) so the
-   measurement is engine overhead rather than protocol arithmetic.  Emits a
-   JSON object with the median/p90 wall time, deliveries/sec and the speedup
-   against 1 domain, plus what the hardware actually offers — on a
-   single-core host the speedup is honestly ~1.0 and the numbers mostly
-   price the sharding overhead. *)
-let throughput ~small () =
-  let target_edges = if small then 30_000 else 120_000 in
-  let repeats = if small then 3 else 5 in
-  let g = F.random_layered_large (Prng.create 42) ~target_edges in
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let series =
-    List.map
-      (fun domains ->
-        let runs =
-          List.init repeats (fun _ ->
-              let t0 = Unix.gettimeofday () in
-              let r = Pn.run ~domains g in
-              assert (r.E.outcome = E.Quiescent);
-              (Unix.gettimeofday () -. t0, r.E.deliveries))
-        in
-        let med, p90 =
-          match Metrics.percentiles [ 50.0; 90.0 ] (List.map fst runs) with
-          | [ m; p ] -> (m, p)
-          | _ -> assert false
-        in
-        (domains, snd (List.hd runs), med, p90))
-      [ 1; 2; 4 ]
-  in
-  let base_med =
-    match series with (_, _, m, _) :: _ -> m | [] -> assert false
-  in
-  pf "{\n";
-  pf "  \"experiment\": \"E15-throughput\",\n";
-  pf "  \"protocol\": \"flood\",\n";
-  pf "  \"graph\": {\"vertices\": %d, \"edges\": %d},\n" (G.n_vertices g)
-    (G.n_edges g);
-  pf "  \"repeats\": %d,\n" repeats;
-  pf "  \"recommended_domain_count\": %d,\n" (Domain.recommended_domain_count ());
-  pf "  \"series\": [";
-  List.iteri
-    (fun i (domains, deliveries, med, p90) ->
-      if i > 0 then pf ",";
-      pf
-        "\n\
-        \    {\"domains\": %d, \"deliveries\": %d, \"median_s\": %.6f, \
-         \"p90_s\": %.6f, \"deliveries_per_s\": %.0f, \"speedup_vs_1\": %.3f}"
-        domains deliveries med p90
-        (float_of_int deliveries /. med)
-        (base_med /. med))
-    series;
-  pf "\n  ]\n}\n"
-
 (* {1 E16 — instrumentation overhead + reconciliation (JSON)} *)
 
-(* Prices the [?obs] hook on the E15 flood workload: the same run bare and
+(* Prices the [?obs] hook on a flood over a 120k-edge layered digraph
+   (1-bit messages, one delivery per edge, so the cost is engine overhead
+   rather than protocol arithmetic): the same run bare and
    instrumented (metrics registry + timeline, sampling every 1024
    deliveries), overhead as a fraction of the bare median, and exact
    reconciliation of the Obs counters against the engine report (the flood
    under Fifo is deterministic, so [repeats] instrumented runs accumulate
-   exactly [repeats * per-run] in each counter).  A 2-domain sharded
-   section checks the per-shard counters sum to the report's deliveries,
-   and the emitted Chrome trace is round-tripped through the validating
-   JSON parser. *)
+   exactly [repeats * per-run] in each counter), and the emitted Chrome
+   trace is round-tripped through the validating JSON parser. *)
 let obs_bench ~small () =
   let target_edges = if small then 30_000 else 120_000 in
   let repeats = if small then 5 else 7 in
@@ -700,18 +642,6 @@ let obs_bench ~small () =
     find "engine.total_bits" = repeats * inst_r.E.total_bits
   in
   let trace_valid = Obs.Json.valid (Obs.Export.chrome_trace o.Obs.timeline) in
-  let op = Obs.create ~sample_every:1024 () in
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let par_r = Pn.run ~domains:2 ~obs:op g in
-  let par_snap = Obs.Registry.snapshot op.Obs.registry in
-  let pfind name =
-    Option.value ~default:min_int (Obs.Registry.find par_snap name)
-  in
-  let reconcile_par =
-    pfind "par.deliveries" = par_r.E.deliveries
-    && pfind "par.shard0.deliveries" + pfind "par.shard1.deliveries"
-       = par_r.E.deliveries
-  in
   pf "{\n";
   pf "  \"experiment\": \"E16-obs-overhead\",\n";
   pf "  \"protocol\": \"flood\",\n";
@@ -724,17 +654,15 @@ let obs_bench ~small () =
   pf "  \"instrumented_median_s\": %.6f,\n" inst_med;
   pf "  \"overhead_fraction\": %.4f,\n" ((inst_med -. bare_med) /. bare_med);
   pf "  \"timeline_events\": %d,\n" (Obs.Timeline.recorded o.Obs.timeline);
-  pf
-    "  \"reconcile\": {\"deliveries\": %b, \"total_bits\": %b, \
-     \"par_deliveries\": %b},\n"
-    reconcile_deliveries reconcile_bits reconcile_par;
+  pf "  \"reconcile\": {\"deliveries\": %b, \"total_bits\": %b},\n"
+    reconcile_deliveries reconcile_bits;
   pf "  \"trace_json_valid\": %b,\n" trace_valid;
   pf "  \"metrics\": %s\n" (Obs.Registry.to_json snap);
   pf "}\n"
 
 (* {1 E21 — causal-lineage overhead + parity (JSON)} *)
 
-(* Prices the [?lineage] hook on the E15 flood workload, for both the
+(* Prices the [?lineage] hook on the E16 flood workload, for both the
    classic and the flat engine: interleaved bare/recorded run pairs,
    medians, overhead as a fraction of the bare median, gated at <= 10%.
    Sampling every 256 deliveries keeps the store (and its clock reads)
@@ -1187,7 +1115,7 @@ let churn_bench ~small () =
 
 (* {1 E20 — flat-core engine throughput (JSON)} *)
 
-(* Prices the flat engine against the classic one on the E15 flood
+(* Prices the flat engine against the classic one on the E16 flood
    workload — same graph, same schedule, byte-identical reports (asserted
    here on every field the payload renders).  Two rows: the Fifo run takes
    the certified flood fast path (ring of edge indices, absorbed
@@ -1835,8 +1763,6 @@ let () =
           if a = "timing" then timing ()
           else if a = "campaign" then campaign ()
           else if a = "check" then check ()
-          else if a = "throughput" then throughput ~small:false ()
-          else if a = "throughput:small" then throughput ~small:true ()
           else if a = "obs" then obs_bench ~small:false ()
           else if a = "obs:small" then obs_bench ~small:true ()
           else if a = "chaos" then chaos_bench ~small:false ()
@@ -1857,7 +1783,7 @@ let () =
             | None ->
                 pf
                   "unknown table %s (known: e1..e13, fits, campaign, check, \
-                   timing, throughput[:small], obs[:small], chaos[:small], \
+                   timing, obs[:small], chaos[:small], \
                    churn[:small], serve[:small], recover[:small], \
                    flatcore[:small], lineage[:small])\n"
                   a)

@@ -134,10 +134,10 @@ let domains_t =
     value & opt int 1
     & info [ "domains" ] ~docv:"N"
         ~doc:
-          "Execute on $(docv) domains with the sharded multicore engine (1 = \
-           the sequential engine).  The parallel delivery order is one more \
-           legal asynchronous schedule, so the outcome and visited set match \
-           the sequential run; the --scheduler policy does not apply.")
+          "Spread the independent jobs (suite instances, trial evaluations) \
+           over a pool of $(docv) domains.  Every job runs the sequential \
+           engine and results come back in job order, so the output is \
+           identical for every $(docv).")
 
 (* {1 Churn terms}
 
@@ -327,55 +327,36 @@ let run_cmd =
             "flood | tree | tree-naive | dag | general | labeling | mapping | \
              undirected (the last expects a ring:N / bidirected:N:SEED family)")
   in
-  (* One unified path: resolve the protocol module, pick the sequential or
-     sharded engine, thread the optional [Obs] sink through either. *)
-  let run g protocol scheduler engine payload domains churn_rate churn_t
+  (* One unified path: resolve the protocol module, pick the classic or
+     flat engine, thread the optional [Obs] sink through either. *)
+  let run g protocol scheduler engine payload churn_rate churn_t
       churn_seed sample trace_out metrics_out csv_out lineage_out
       lineage_sample =
     match protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
-          if domains < 1 then invalid_arg "--domains must be at least 1";
-          if engine = Flatcore.Flat && domains > 1 then
-            invalid_arg
-              "--engine flat is the sequential fast engine; drop --domains";
           let obs = make_obs ~sample trace_out metrics_out csv_out in
           let lineage = make_lineage ~sample:lineage_sample lineage_out obs in
           let churn = churn_of ~rate:churn_rate ~t:churn_t ~seed:churn_seed g in
           describe_graph g;
-          if domains > 1 then
-            pf "protocol: %s, domains: %d (sharded engine), payload: %d bits\n\n"
-              protocol domains payload
-          else
-            pf "protocol: %s, scheduler: %s, engine: %s, payload: %d bits\n\n"
-              protocol
-              (Runtime.Scheduler.describe scheduler)
-              (Flatcore.string_of_kind engine)
-              payload;
-          let r, churn_stats =
-            if domains > 1 then
-              let module En = Par.Engine.Make (P) in
-              let r =
-                En.run ~domains ~payload_bits:payload ~churn ?obs ?lineage g
-              in
-              (Anonet.stats_of_report r, r.E.churn_stats)
-            else
-              let r =
-                match engine with
-                | Flatcore.Flat ->
-                    let module En = Flatcore.Engine.Make (P) in
-                    En.run ~scheduler ~payload_bits:payload ~churn ?obs
-                      ?lineage g
-                | Flatcore.Classic ->
-                    let module En = Runtime.Engine.Make (P) in
-                    En.run ~scheduler ~payload_bits:payload ~churn ?obs
-                      ?lineage g
-              in
-              (Anonet.stats_of_report r, r.E.churn_stats)
+          pf "protocol: %s, scheduler: %s, engine: %s, payload: %d bits\n\n"
+            protocol
+            (Runtime.Scheduler.describe scheduler)
+            (Flatcore.string_of_kind engine)
+            payload;
+          let r =
+            match engine with
+            | Flatcore.Flat ->
+                let module En = Flatcore.Engine.Make (P) in
+                En.run ~scheduler ~payload_bits:payload ~churn ?obs ?lineage g
+            | Flatcore.Classic ->
+                let module En = Runtime.Engine.Make (P) in
+                En.run ~scheduler ~payload_bits:payload ~churn ?obs ?lineage g
           in
-          if not (Runtime.Churn.is_none churn) then describe_churn churn_stats;
-          let res = finish r in
+          if not (Runtime.Churn.is_none churn) then
+            describe_churn r.E.churn_stats;
+          let res = finish (Anonet.stats_of_report r) in
           flush_obs
             ~meta:[ ("command", "run"); ("protocol", protocol) ]
             ?lineage obs trace_out metrics_out csv_out;
@@ -387,7 +368,7 @@ let run_cmd =
     (Cmd.info "run" ~doc:"Run a protocol on a generated network and print stats.")
     Term.(
       ret (const run $ family_t $ protocol_t $ scheduler_t $ engine_t
-         $ payload_t $ domains_t $ churn_rate_t $ churn_t_t $ churn_seed_t
+         $ payload_t $ churn_rate_t $ churn_t_t $ churn_seed_t
          $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t $ lineage_out_t
          $ lineage_sample_t))
 
@@ -642,7 +623,7 @@ let faults_cmd =
              into detected drops.")
   in
   let run g protocol scheduler engine drop duplicate delay corrupt kill seeds k
-      domains sample trace_out metrics_out csv_out lineage_out lineage_sample =
+      sample trace_out metrics_out csv_out lineage_out lineage_sample =
     match protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
@@ -662,38 +643,28 @@ let faults_cmd =
                         end)
                         (P))
           in
-          if domains < 1 then invalid_arg "--domains must be at least 1";
-          if engine = Flatcore.Flat && domains > 1 then
-            invalid_arg
-              "--engine flat is the sequential fast engine; drop --domains";
           (* One sink across the sweep: counters accumulate over all seeds. *)
           let obs = make_obs ~sample trace_out metrics_out csv_out in
           let module En = Runtime.Engine.Make (Q) in
           let module Fn = Flatcore.Engine.Make (Q) in
-          let module Pn = Par.Engine.Make (Q) in
           (* The faulty runs share one CSR: compiled once, swept many times. *)
           let csr =
             if engine = Flatcore.Flat then Some (Flatcore.Csr.of_digraph g)
             else None
           in
           let engine_run ~faults ?lineage g =
-            if domains > 1 then Pn.run ~domains ~faults ?obs ?lineage g
-            else
-              match csr with
-              | Some csr -> Fn.run_csr ~scheduler ~faults ?obs ?lineage csr
-              | None -> En.run ~scheduler ~faults ?obs ?lineage g
+            match csr with
+            | Some csr -> Fn.run_csr ~scheduler ~faults ?obs ?lineage csr
+            | None -> En.run ~scheduler ~faults ?obs ?lineage g
           in
           (* Lineage over a sweep: a fresh recorder per seed, keeping the
              deepest causal forest observed — the sweep's worst-case chain
              is what a profiler wants from a fault campaign. *)
           let lineage_best = ref None in
           describe_graph g;
-          if domains > 1 then
-            pf "protocol: %s, domains: %d (sharded engine)\n" Q.name domains
-          else
-            pf "protocol: %s, scheduler: %s, engine: %s\n" Q.name
-              (Runtime.Scheduler.describe scheduler)
-              (Flatcore.string_of_kind engine);
+          pf "protocol: %s, scheduler: %s, engine: %s\n" Q.name
+            (Runtime.Scheduler.describe scheduler)
+            (Flatcore.string_of_kind engine);
           pf "faults  : drop=%.3f duplicate=%.3f delay<=%d corrupt=%.3f kill=%.3f\n\n"
             drop duplicate delay corrupt kill;
           let n = G.n_vertices g in
@@ -756,7 +727,7 @@ let faults_cmd =
       ret
         (const run $ family_t $ protocol_t $ scheduler_t $ engine_t $ drop_t
        $ duplicate_t $ delay_t $ corrupt_t $ kill_t $ seeds_t $ redundancy_t
-       $ domains_t $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t
+       $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t
        $ lineage_out_t $ lineage_sample_t))
 
 let check_cmd =
@@ -797,6 +768,7 @@ let check_cmd =
     let module X = Runtime.Explore in
     let module CS = Anonet.Check_suite in
     if sample < 1 then `Error (false, "--sample must be at least 1")
+    else if domains < 1 then `Error (false, "--domains must be at least 1")
     else
     let obs = make_obs ~sample trace_out metrics_out csv_out in
     let cases =
@@ -814,7 +786,7 @@ let check_cmd =
           "states" "transit" "pruned" "walks" "status";
         let bad = ref 0 in
         let failures = ref [] in
-        (* Each instance explores independently; the pool shards them across
+        (* Each instance explores independently; the pool spreads them over
            domains and hands the results back in suite order.  The shared
            sink is safe: explorer counters flush atomically and the
            timeline ring is multi-writer. *)
@@ -889,32 +861,21 @@ let obs_cmd =
             "flood | tree | tree-naive | dag | general | labeling | mapping | \
              undirected")
   in
-  let run g protocol scheduler payload domains sample trace_out metrics_out
-      csv_out =
+  let run g protocol scheduler payload sample trace_out metrics_out csv_out =
     match protocol_of_name protocol with
     | None -> `Error (false, Printf.sprintf "unknown protocol %S" protocol)
     | Some (module P : Runtime.Protocol_intf.PROTOCOL) -> (
         try
-          if domains < 1 then invalid_arg "--domains must be at least 1";
           if sample < 1 then invalid_arg "--sample must be at least 1";
           let o = Obs.create ~sample_every:sample () in
           describe_graph g;
-          if domains > 1 then
-            pf "protocol: %s, domains: %d (sharded engine), payload: %d bits, \
-                sample every %d\n\n"
-              protocol domains payload sample
-          else
-            pf "protocol: %s, scheduler: %s, payload: %d bits, sample every %d\n\n"
-              protocol
-              (Runtime.Scheduler.describe scheduler)
-              payload sample;
+          pf "protocol: %s, scheduler: %s, payload: %d bits, sample every %d\n\n"
+            protocol
+            (Runtime.Scheduler.describe scheduler)
+            payload sample;
           let r =
-            if domains > 1 then
-              let module En = Par.Engine.Make (P) in
-              En.run ~domains ~payload_bits:payload ~obs:o g
-            else
-              let module En = Runtime.Engine.Make (P) in
-              En.run ~scheduler ~payload_bits:payload ~obs:o g
+            let module En = Runtime.Engine.Make (P) in
+            En.run ~scheduler ~payload_bits:payload ~obs:o g
           in
           pf "outcome : %s, %d deliveries, %d total bits\n"
             (match r.E.outcome with
@@ -986,7 +947,7 @@ let obs_cmd =
     Term.(
       ret
         (const run $ family_t $ protocol_t $ scheduler_t $ payload_t
-       $ domains_t $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t))
+       $ sample_t $ trace_out_t $ metrics_out_t $ csv_out_t))
 
 let chaos_cmd =
   let module Ch = Runtime.Chaos in
@@ -1089,10 +1050,7 @@ let chaos_cmd =
               seed %d%s\n\n"
             runner.Ch.r_name budget (List.length graphs) max_faults seed
             (if supervise then ", supervised" else "");
-          let res =
-            if domains > 1 then Par.Chaos.run ~domains cfg ~runners:[ runner ] ~graphs
-            else Ch.run cfg ~runners:[ runner ] ~graphs
-          in
+          let res = Par.Chaos.run ~domains cfg ~runners:[ runner ] ~graphs in
           pf "trials: %d   hits: %d   duplicates: %d   witnesses: %d \
               (unsound %d, starved %d, livelocked %d)\n"
             res.Ch.trials_run res.Ch.hits res.Ch.duplicates

@@ -336,7 +336,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
       match oh with
       | None -> ()
       | Some h ->
-          let tl = h.E.oh_timeline and track = h.E.oh_track in
+          let tl = h.E.oh_timeline and track = 0 in
           let in_flight = !tail - !head in
           Obs.Registry.set h.E.g_in_flight in_flight;
           Obs.Registry.set h.E.g_wavefront !n_visited;
@@ -352,7 +352,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
             (float_of_int bits_total)
     in
     (match oh with
-    | Some h -> Obs.Timeline.begin_span h.E.oh_timeline ~track:h.E.oh_track "engine.run"
+    | Some h -> Obs.Timeline.begin_span h.E.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let push_edge e =
       let r = !ring in
@@ -482,7 +482,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
     (match oh with
     | Some h ->
         obs_sample ~bits_total:(!deliveries * bpm);
-        Obs.Timeline.end_span h.E.oh_timeline ~track:h.E.oh_track "engine.run"
+        Obs.Timeline.end_span h.E.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let edge_bits = Array.map (fun c -> c * bpm) edge_messages in
     {
@@ -627,7 +627,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
       match oh with
       | None -> ()
       | Some h ->
-          let tl = h.E.oh_timeline and track = h.E.oh_track in
+          let tl = h.E.oh_timeline and track = 0 in
           Obs.Registry.set h.E.g_in_flight !in_flight;
           Obs.Registry.set h.E.g_wavefront !n_visited;
           let residual = !entered - !deliveries - !in_flight in
@@ -707,7 +707,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
       done
     in
     (match oh with
-    | Some h -> Obs.Timeline.begin_span h.E.oh_timeline ~track:h.E.oh_track "engine.run"
+    | Some h -> Obs.Timeline.begin_span h.E.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let se = Csr.source csr in
     List.iter
@@ -764,7 +764,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
                     until_sample := h.E.oh_sample_every;
                     obs_sample ()
                   end;
-                  let tl = h.E.oh_timeline and track = h.E.oh_track in
+                  let tl = h.E.oh_timeline and track = 0 in
                   let mark kind =
                     Obs.Timeline.instant tl ~track
                       (Printf.sprintf "churn.%s:%d" kind f.edge)
@@ -996,7 +996,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
           Obs.Registry.add h.E.c_churn_violations
             (Churn.Instance.window_violations ci)
         end;
-        Obs.Timeline.end_span h.E.oh_timeline ~track:h.E.oh_track "engine.run"
+        Obs.Timeline.end_span h.E.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let fault_stats =
       if not faulty then

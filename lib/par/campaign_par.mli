@@ -1,4 +1,4 @@
-(** {!Runtime.Campaign} sweeps sharded over a {!Pool}.
+(** {!Runtime.Campaign} sweeps spread over a {!Pool}.
 
     The cross product {e runners × graphs × grid} is split into
     single-(runner, graph, point) jobs, each run through the sequential
@@ -7,8 +7,9 @@
     the order the sequential sweep would list them, and [to_json] of the
     merged result is byte-identical to the sequential one.  Each cell still
     sweeps its full seed list, which keeps the per-job cost meaningful and
-    the fault streams identical to the sequential campaign (they are keyed
-    by [(seed, edge)], not by schedule). *)
+    the fault streams identical to the sequential campaign: they are keyed
+    by [(seed, edge)], not by which domain runs the job, so each job
+    replays exactly the sequential sweep's runs. *)
 
 val run :
   ?domains:int ->

@@ -1,16 +1,12 @@
-(** Multicore execution layer.
+(** Multicore job layer.
 
-    {!Engine} runs one protocol instance sharded across domains with the
-    same observable semantics as {!Runtime.Engine} (the parallel delivery
-    order is one more legal asynchronous schedule); {!Pool} spreads
-    independent jobs — campaign cells, check-suite cases, bench repeats —
-    over a work-stealing domain pool with deterministic result order; and
-    {!Campaign} is {!Runtime.Campaign} on top of {!Pool}. *)
+    {!Pool} spreads independent jobs — campaign cells, check-suite cases,
+    chaos trials, bench repeats — over a work-stealing domain pool with
+    deterministic result order; {!Campaign} is {!Runtime.Campaign} and
+    {!Chaos} is {!Runtime.Chaos} on top of {!Pool}.  Each job runs the
+    ordinary sequential engine, so results are identical to a one-domain
+    sweep. *)
 
-module Mailbox = Mailbox
 module Pool = Pool
-module Engine = Shard_engine
 module Campaign = Campaign_par
 module Chaos = Chaos_par
-
-type sharding = Shard_engine.sharding

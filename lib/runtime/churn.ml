@@ -293,10 +293,9 @@ module Instance = struct
           inst.violations <- inst.violations + 1
 
   (* Each edge draws from its own PRNG stream derived from (seed, edge), and
-     its add/remove clock counts only offers on that edge — the same
-     locality that lets the sharded engine's per-domain instances agree
-     with the sequential one (all of edge [e]'s deliveries happen in the
-     shard owning its target vertex). *)
+     its add/remove clock counts only offers on that edge — the locality
+     that makes replay exact, keeps the classic and flat engines in parity
+     and lets every schedule agree on an edge's fates. *)
   let edge_state inst ~edge =
     match Hashtbl.find_opt inst.edges edge with
     | Some st -> st

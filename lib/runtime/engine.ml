@@ -93,12 +93,10 @@ type event = {
 }
 
 (* Telemetry cells resolved once per run (registration is the only locked
-   operation); per-delivery updates are plain stores.  [track] is the
-   timeline lane — 0 for the sequential engine. *)
+   operation); per-delivery updates are plain stores. *)
 type obs_hooks = {
   oh_timeline : Obs.Timeline.t;
   oh_sample_every : int;
-  oh_track : int;
   c_deliveries : Obs.Registry.counter;
   c_bits : Obs.Registry.counter;
   c_sends : Obs.Registry.counter;
@@ -128,12 +126,11 @@ type obs_hooks = {
   g_residual : Obs.Registry.gauge;
 }
 
-let obs_hooks ?(track = 0) (o : Obs.t) =
+let obs_hooks (o : Obs.t) =
   let reg = o.Obs.registry in
   {
     oh_timeline = o.Obs.timeline;
     oh_sample_every = o.Obs.sample_every;
-    oh_track = track;
     c_deliveries = Obs.Registry.counter reg "engine.deliveries";
     c_bits = Obs.Registry.counter reg "engine.total_bits";
     c_sends = Obs.Registry.counter reg "engine.sends";
@@ -416,7 +413,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       match oh with
       | None -> ()
       | Some h ->
-          let tl = h.oh_timeline and track = h.oh_track in
+          let tl = h.oh_timeline and track = 0 in
           Obs.Registry.set h.g_in_flight !in_flight;
           Obs.Registry.set h.g_wavefront !n_visited;
           let residual = !entered - !deliveries - !in_flight in
@@ -509,7 +506,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       done
     in
     (match oh with
-    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:h.oh_track "engine.run"
+    | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
     (* The root spontaneously emits sigma0. *)
     List.iter
@@ -589,7 +586,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                     until_sample := h.oh_sample_every;
                     obs_sample ()
                   end;
-                  let tl = h.oh_timeline and track = h.oh_track in
+                  let tl = h.oh_timeline and track = 0 in
                   let mark kind =
                     Obs.Timeline.instant tl ~track
                       (Printf.sprintf "churn.%s:%d" kind f.edge)
@@ -863,7 +860,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           Obs.Registry.add h.c_churn_violations
             (Churn.Instance.window_violations ci)
         end;
-        Obs.Timeline.end_span h.oh_timeline ~track:h.oh_track "engine.run"
+        Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
     (match (obs, gc0) with
     | Some o, Some (g0, mw0) ->

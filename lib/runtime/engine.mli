@@ -143,15 +143,13 @@ exception Codec_mismatch of string
     through its wire encoding. *)
 
 (** Telemetry cells resolved once per run — the [engine.*] counter,
-    histogram and gauge handles plus the timeline lane and sampling
-    cadence.  Exposed so alternative engines (the Flatcore flat engine,
-    the parallel driver) update the {e same} named cells with the same
-    semantics; reports then reconcile with the registry regardless of
-    which engine produced them. *)
+    histogram and gauge handles plus the timeline and sampling cadence.
+    Exposed so the Flatcore flat engine updates the {e same} named cells
+    with the same semantics; reports then reconcile with the registry
+    regardless of which engine produced them. *)
 type obs_hooks = {
   oh_timeline : Obs.Timeline.t;
   oh_sample_every : int;
-  oh_track : int;
   c_deliveries : Obs.Registry.counter;
   c_bits : Obs.Registry.counter;
   c_sends : Obs.Registry.counter;
@@ -181,9 +179,9 @@ type obs_hooks = {
   g_residual : Obs.Registry.gauge;
 }
 
-val obs_hooks : ?track:int -> Obs.t -> obs_hooks
+val obs_hooks : Obs.t -> obs_hooks
 (** Resolve (registering on first use) every cell against the sink's
-    registry.  [track] is the timeline lane; 0 for sequential engines. *)
+    registry. *)
 
 module Make (P : Protocol_intf.PROTOCOL) : sig
   type state = P.state

@@ -188,3 +188,35 @@ let arb_digraph = QCheck.make ~print:graph_print gen_digraph
 let rec pairwise_disjoint = function
   | [] -> true
   | x :: rest -> List.for_all (Is.disjoint x) rest && pairwise_disjoint rest
+
+(* {1 Cross-scheduler parity}
+
+   The model is asynchronous, so every delivery order is a legal execution,
+   and fault, vertex-fault and churn fates are keyed by per-edge and
+   per-vertex clocks, never by the interleaving.  [cross_scheduler_parity
+   ~seed run check] calls [run ~engine ~scheduler] on the classic and the
+   flat engine under Fifo, Lifo and a seeded Random schedule, and hands
+   each run after the first to [check ctx reference r], where the
+   reference is the classic Fifo run and [ctx] names the seed, engine and
+   schedule (["seed 3, flat/lifo"]). *)
+let cross_scheduler_parity ~seed run check =
+  let runs =
+    List.concat_map
+      (fun engine ->
+        List.map
+          (fun (name, scheduler) ->
+            ( Printf.sprintf "seed %d, %s/%s" seed
+                (Flatcore.string_of_kind engine)
+                name,
+              run ~engine ~scheduler ))
+          [
+            ("fifo", Runtime.Scheduler.Fifo);
+            ("lifo", Runtime.Scheduler.Lifo);
+            ("random", Runtime.Scheduler.Random (Prng.create (seed * 31)));
+          ])
+      [ Flatcore.Classic; Flatcore.Flat ]
+  in
+  match runs with
+  | [] -> assert false
+  | (_, reference) :: variants ->
+      List.iter (fun (ctx, r) -> check ctx reference r) variants

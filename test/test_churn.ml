@@ -1,6 +1,6 @@
 (* The edge-churn adversary: instance fate semantics, T-interval
    constrain/contract, engine integration (zero overhead, obs
-   reconciliation, supervisor healing), sequential-vs-sharded parity,
+   reconciliation, supervisor healing), cross-scheduler parity,
    replay determinism under combined churn + vertex faults, the dynamic
    protocols (amnesiac flooding, counting) and the chaos churn controls. *)
 
@@ -239,13 +239,13 @@ let test_obs_counters_reconcile_exactly () =
       (cs.E.heals <= cs.E.removes)
   done
 
-(* {1 Sequential vs sharded parity} *)
+(* {1 Cross-scheduler parity} *)
 
-(* Churn clocks are edge-local and every offer on an edge is made by the
-   shard owning its target vertex, so the sharded engine's fates — and
-   therefore the whole churn ledger — must match the sequential engine. *)
-let test_sharded_churn_parity () =
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
+(* Churn clocks are edge-local — an edge's state advances only on the offers
+   made on it — so its fates, and therefore the whole churn ledger, are the
+   same under every schedule, on either engine. *)
+let test_churn_parity () =
+  let module Fc = Flatcore.Engine.Make (Anonet.Flood) in
   for seed = 1 to 8 do
     let g =
       F.random_digraph (Prng.create seed) ~n:20 ~extra_edges:12 ~back_edges:4
@@ -255,11 +255,13 @@ let test_sharded_churn_parity () =
       C.with_contract ~t_interval:3 g
         (C.uniform (C.plan ~remove:0.25 ~max_downtime:2 ()) ~seed)
     in
-    let s = Anonet.Flood_engine.run ~churn g in
-    List.iter
-      (fun domains ->
-        let p = Pn.run ~domains ~churn g in
-        let tag name = Printf.sprintf "%s (domains=%d)" name domains in
+    let run ~engine ~scheduler =
+      match engine with
+      | Flatcore.Classic -> Anonet.Flood_engine.run ~scheduler ~churn g
+      | Flatcore.Flat -> Fc.run ~scheduler ~churn g
+    in
+    cross_scheduler_parity ~seed run (fun ctx s p ->
+        let tag name = Printf.sprintf "%s (%s)" name ctx in
         Alcotest.(check int) (tag "same adds") s.E.churn_stats.E.adds
           p.E.churn_stats.E.adds;
         Alcotest.(check int) (tag "same removes") s.E.churn_stats.E.removes
@@ -276,27 +278,7 @@ let test_sharded_churn_parity () =
           (s.E.visited = p.E.visited);
         Alcotest.(check int) (tag "same deliveries") s.E.deliveries
           p.E.deliveries)
-      [ 1; 2; 4 ]
   done
-
-let test_sharded_obs_churn_counters_reconcile () =
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let g =
-    F.random_digraph (Prng.create 3) ~n:20 ~extra_edges:12 ~back_edges:4
-      ~t_edge_prob:0.25
-  in
-  let churn = C.uniform (C.plan ~remove:0.3 ~max_downtime:2 ()) ~seed:3 in
-  let obs = Obs.create () in
-  let p = Pn.run ~domains:4 ~churn ~obs g in
-  let c name = Obs.Registry.(avalue (acounter obs.Obs.registry name)) in
-  Alcotest.(check int) "adds" p.E.churn_stats.E.adds (c "engine.churn.adds");
-  Alcotest.(check int) "removes" p.E.churn_stats.E.removes
-    (c "engine.churn.removes");
-  Alcotest.(check int) "heals" p.E.churn_stats.E.heals (c "engine.churn.heals");
-  Alcotest.(check int) "lost" p.E.churn_stats.E.messages_lost_in_flight
-    (c "engine.churn.lost_in_flight");
-  Alcotest.(check bool) "churn actually fired" true
-    (p.E.churn_stats.E.removes > 0)
 
 (* {1 Replay determinism under churn + vertex faults} *)
 
@@ -511,12 +493,9 @@ let () =
           Alcotest.test_case "obs counters reconcile exactly" `Quick
             test_obs_counters_reconcile_exactly;
         ] );
-      ( "par",
+      ( "parity",
         [
-          Alcotest.test_case "sequential vs sharded parity" `Quick
-            test_sharded_churn_parity;
-          Alcotest.test_case "sharded obs counters reconcile" `Quick
-            test_sharded_obs_churn_counters_reconcile;
+          Alcotest.test_case "cross-scheduler parity" `Quick test_churn_parity;
         ] );
       ( "replay",
         [

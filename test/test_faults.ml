@@ -357,6 +357,45 @@ let test_campaign_reports_starvation_and_dark_edges () =
   Alcotest.(check bool) "dark edges named" true (s.C.dark_edges <> []);
   Alcotest.(check bool) "starved vertices named" true (s.C.starved <> [])
 
+(* {1 Cross-scheduler parity} *)
+
+(* Tree protocol, drop + delay + kill (no duplication: a duplicated copy can
+   flip termination itself; no corruption: its bit draw happens at delivery
+   time): every edge carries at most one send, so the per-edge fault streams
+   keyed by (seed, edge) are consumed identically under any schedule, on
+   either engine — and so are the outcome, the visited set and the delivery
+   count. *)
+let test_tree_fault_parity () =
+  let module Cl = Runtime.Engine.Make (Anonet.Tree_broadcast) in
+  let module Fc = Flatcore.Engine.Make (Anonet.Tree_broadcast) in
+  for seed = 1 to 12 do
+    let g =
+      F.random_grounded_tree (Prng.create (100 + seed)) ~n:40 ~t_edge_prob:0.3
+    in
+    let faults = Fl.create ~drop:0.12 ~max_delay:3 ~kill:0.05 ~seed () in
+    let run ~engine ~scheduler =
+      match engine with
+      | Flatcore.Classic -> Cl.run ~scheduler ~faults g
+      | Flatcore.Flat -> Fc.run ~scheduler ~faults g
+    in
+    cross_scheduler_parity ~seed run (fun ctx (s : _ E.report) p ->
+        Alcotest.check outcome (ctx ^ ": outcome") s.outcome p.E.outcome;
+        Alcotest.(check (array bool)) (ctx ^ ": visited") s.visited p.visited;
+        Alcotest.(check int) (ctx ^ ": deliveries") s.deliveries p.deliveries;
+        Alcotest.(check int)
+          (ctx ^ ": dropped")
+          s.fault_stats.dropped_copies p.fault_stats.dropped_copies;
+        Alcotest.(check int)
+          (ctx ^ ": extra")
+          s.fault_stats.extra_copies p.fault_stats.extra_copies;
+        Alcotest.(check int)
+          (ctx ^ ": delayed")
+          s.fault_stats.delayed_copies p.fault_stats.delayed_copies;
+        Alcotest.(check (list int))
+          (ctx ^ ": dead edges")
+          s.fault_stats.dead_edges p.fault_stats.dead_edges)
+  done
+
 let () =
   Alcotest.run "faults"
     [
@@ -380,6 +419,7 @@ let () =
             test_killed_edge_starves_path;
           Alcotest.test_case "step limit reports in-flight" `Quick
             test_step_limit_reports_in_flight;
+          Alcotest.test_case "tree fault parity" `Quick test_tree_fault_parity;
         ] );
       ( "redundant",
         [

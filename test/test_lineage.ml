@@ -5,9 +5,7 @@
    delivery counter, so for the same graph the two recorders must agree
    on every aggregate {e and} — with sampling off — on the entire stored
    node stream, even though the flat engine records through a packed pop
-   journal realized lazily and the classic engine through its own.  The
-   par engine's id assignment is schedule-dependent, so only node-count
-   reconciliation holds there. *)
+   journal realized lazily and the classic engine through its own. *)
 
 module E = Runtime.Engine
 module F = Digraph.Families
@@ -16,7 +14,6 @@ module L = Obs.Lineage
 
 module Cl = Runtime.Engine.Make (Anonet.Flood)
 module Fl = Flatcore.Engine.Make (Anonet.Flood)
-module Pr = Par.Engine.Make (Anonet.Flood)
 
 let stored_list l =
   let acc = ref [] in
@@ -117,6 +114,38 @@ let test_critical_path () =
   in
   chained path
 
+(* {1 Track} *)
+
+(* Both engines record on timeline track 0: the classic engine and the flat
+   flood fast path through their pop journals, the flat generic path (any
+   protocol other than bare flooding) through inline notes. *)
+let all_track_zero ctx l =
+  Alcotest.(check bool) (ctx ^ ": something stored") true (L.stored l > 0);
+  L.iter_stored l (fun n ->
+      if n.L.n_track <> 0 then
+        Alcotest.failf "%s: node %d on track %d" ctx n.L.n_id n.L.n_track)
+
+let track_graph () =
+  F.random_digraph (Prng.create 14) ~n:25 ~extra_edges:30 ~back_edges:6
+    ~t_edge_prob:0.3
+
+let test_track_classic () =
+  let l = L.create () in
+  ignore (Cl.run ~lineage:l (track_graph ()));
+  all_track_zero "classic flood" l
+
+let test_track_flat () =
+  let module Fg = Flatcore.Engine.Make (Anonet.General_broadcast) in
+  let g = track_graph () in
+  let fast = L.create () in
+  ignore (Fl.run ~lineage:fast g);
+  all_track_zero "flat flood" fast;
+  let generic = L.create () in
+  let r = Fg.run ~lineage:generic g in
+  Alcotest.(check int) "generic: nodes = deliveries" r.E.deliveries
+    (L.nodes generic);
+  all_track_zero "flat general broadcast" generic
+
 (* {1 JSON export} *)
 
 let test_json () =
@@ -136,38 +165,6 @@ let test_json () =
   Alcotest.(check int) "stored" (L.stored l) (field "stored");
   Alcotest.(check int) "dropped" (L.dropped l) (field "dropped")
 
-(* {1 Par: node-count reconciliation + shard tracks} *)
-
-let test_par_reconcile () =
-  let g = F.random_digraph (Prng.create 14) ~n:40 ~extra_edges:60 ~back_edges:10 ~t_edge_prob:0.3 in
-  let l = L.create ~sample_every:1 ~capacity:(1 lsl 20) () in
-  let r = Pr.run ~domains:4 ~lineage:l g in
-  Alcotest.(check int) "nodes = deliveries" r.E.deliveries (L.nodes l);
-  Alcotest.(check int) "full store" r.E.deliveries (L.stored l);
-  (* Ids are the global delivery-slot claims: unique and 1-based. *)
-  let seen = Hashtbl.create 64 in
-  let max_id = ref 0 in
-  L.iter_stored l (fun n ->
-      if Hashtbl.mem seen n.L.n_id then Alcotest.failf "duplicate id %d" n.L.n_id;
-      Hashtbl.add seen n.L.n_id ();
-      if n.L.n_id > !max_id then max_id := n.L.n_id;
-      if n.L.n_depth < 1 then Alcotest.failf "depth < 1 at id %d" n.L.n_id);
-  Alcotest.(check int) "ids dense" r.E.deliveries !max_id
-
-(* {1 Merge} *)
-
-let test_merge () =
-  let g = F.path 5 in
-  let a = L.create ~sample_every:1 () in
-  let b = L.create ~sample_every:1 () in
-  ignore (Cl.run ~lineage:a g);
-  ignore (Cl.run ~lineage:b g);
-  let solo_nodes = L.nodes a and solo_depth = L.max_depth a in
-  L.merge ~into:a b;
-  Alcotest.(check int) "nodes sum" (2 * solo_nodes) (L.nodes a);
-  Alcotest.(check int) "max_depth maxes" solo_depth (L.max_depth a);
-  Alcotest.(check int) "stores append" (2 * solo_nodes) (L.stored a)
-
 let () =
   Alcotest.run "lineage"
     [
@@ -182,7 +179,8 @@ let () =
           Alcotest.test_case "critical path, deepest first" `Quick
             test_critical_path;
           Alcotest.test_case "json export" `Quick test_json;
-          Alcotest.test_case "merge" `Quick test_merge;
+          Alcotest.test_case "track 0: classic" `Quick test_track_classic;
+          Alcotest.test_case "track 0: flat (fast + generic)" `Quick
+            test_track_flat;
         ] );
-      ("par", [ Alcotest.test_case "reconcile + unique ids" `Quick test_par_reconcile ]);
     ]

@@ -1,149 +1,11 @@
-(* The sharded multicore engine against the sequential engine.
-
-   The load-bearing property: a parallel run is just one more legal
-   asynchronous schedule, so for every suite protocol on its own graph class
-   the outcome and the visited set must match the sequential engine, and the
-   final linear cut (vertex states + undelivered messages) must satisfy the
-   protocol's conservation law.  Schedule-dependent measures (deliveries for
-   the non-tree protocols, bit high-water marks) are deliberately not
-   compared.
-
-   Fault plans: per-edge [on_send] streams are keyed by (seed, edge) and all
-   of an edge's sends run in one shard, so with corruption off (its bit draw
-   happens at delivery time) and duplication off (a duplicated copy can flip
-   termination itself, see test_faults) a tree run's fault counters must be
-   identical under any schedule — parallel included. *)
+(* The multicore job layer: the domain pool's ordering and error contract,
+   every suite protocol run as pool jobs against the same runs made one
+   after another, and the pool-backed campaign and chaos sweeps against
+   the sequential ones. *)
 
 module E = Runtime.Engine
 module F = Digraph.Families
 module H = Helpers
-
-(* {1 The final-cut conservation check} *)
-
-let conservation_ok (type s m)
-    (module P : Runtime.Protocol_intf.CHECKABLE
-      with type state = s
-       and type message = m) g (states : s array) (leftover : m list) =
-  match P.conservation with
-  | None -> true
-  | Some (Runtime.Protocol_intf.Conservation c) ->
-      let acc =
-        List.fold_left (fun a m -> c.add a (c.of_message m)) c.zero leftover
-      in
-      let acc =
-        List.fold_left
-          (fun a v ->
-            c.add a
-              (c.retained
-                 ~out_degree:(Digraph.out_degree g v)
-                 ~in_degree:(Digraph.in_degree g v)
-                 states.(v)))
-          acc (Digraph.vertices g)
-      in
-      Result.is_ok (c.check acc)
-
-(* {1 Parallel == sequential, per suite protocol} *)
-
-let equiv_case (type s m)
-    (module P : Runtime.Protocol_intf.CHECKABLE
-      with type state = s
-       and type message = m) name g =
-  let module Seq = Runtime.Engine.Make (P) in
-  let module Pn = Par.Engine.Make (P) in
-  let seq_left = ref [] in
-  let sr = Seq.run ~on_undelivered:(fun m -> seq_left := m :: !seq_left) g in
-  if not (conservation_ok (module P) g sr.states !seq_left) then
-    QCheck.Test.fail_reportf "%s: sequential conservation breached (%s)" name
-      (H.report_summary sr);
-  List.for_all
-    (fun domains ->
-      let pr = Pn.run_full ~domains g in
-      if pr.report.outcome <> sr.outcome then
-        QCheck.Test.fail_reportf "%s: %d domains: %s, sequential %s" name
-          domains
-          (H.outcome_string pr.report.outcome)
-          (H.outcome_string sr.outcome);
-      if pr.report.visited <> sr.visited then
-        QCheck.Test.fail_reportf "%s: %d domains: visited set differs" name
-          domains;
-      if pr.report.final_in_flight <> List.length pr.leftover then
-        QCheck.Test.fail_reportf
-          "%s: %d domains: final_in_flight %d but %d leftover messages" name
-          domains pr.report.final_in_flight
-          (List.length pr.leftover);
-      if not (conservation_ok (module P) g pr.report.states pr.leftover) then
-        QCheck.Test.fail_reportf "%s: %d domains: conservation breached (%s)"
-          name domains
-          (H.report_summary pr.report);
-      true)
-    [ 1; 2; 4 ]
-
-let equivalence_tests =
-  List.map
-    (fun (name, cls, p) ->
-      let arb, count =
-        match cls with
-        | `Trees -> (H.arb_grounded_tree, 40)
-        | `Dags -> (H.arb_dag, 30)
-        | `Digraphs -> (H.arb_digraph, 20)
-      in
-      H.qcheck_to_alcotest ~count
-        (Printf.sprintf "par == seq: %s (1/2/4 domains)" name)
-        arb
-        (fun g ->
-          let (module P : Runtime.Protocol_intf.CHECKABLE) = p in
-          equiv_case (module P) name g))
-    (Anonet.Check_suite.protocols ())
-
-(* Both engines share the sharding knob's contract: BFS-layer sharding is
-   just a different vertex partition, so it must agree too. *)
-let sharding_equivalent () =
-  let module Pn = Par.Engine.Make (Anonet.General_broadcast) in
-  let g =
-    F.random_digraph (Prng.create 31) ~n:40 ~extra_edges:40 ~back_edges:10
-      ~t_edge_prob:0.2
-  in
-  let a = Pn.run ~domains:3 ~sharding:`Round_robin g in
-  let b = Pn.run ~domains:3 ~sharding:`Bfs_layers g in
-  Alcotest.check H.outcome "outcome" a.outcome b.outcome;
-  Alcotest.(check (array bool)) "visited" a.visited b.visited
-
-(* {1 Fault parity} *)
-
-(* Tree protocol, drop + delay + kill (no duplication, no corruption): every
-   edge carries at most one send, so the per-edge fault streams are consumed
-   identically under any schedule and the merged parallel counters must
-   equal the sequential ones — as must the outcome, the visited set and the
-   delivery count. *)
-let fault_parity () =
-  let module Seq = Runtime.Engine.Make (Anonet.Tree_broadcast) in
-  let module Pn = Par.Engine.Make (Anonet.Tree_broadcast) in
-  for seed = 1 to 12 do
-    let g =
-      F.random_grounded_tree (Prng.create (100 + seed)) ~n:40 ~t_edge_prob:0.3
-    in
-    let faults =
-      Runtime.Faults.create ~drop:0.12 ~max_delay:3 ~kill:0.05 ~seed ()
-    in
-    let sr = Seq.run ~faults g in
-    let pr = Pn.run ~domains:4 ~faults g in
-    let ctx = Printf.sprintf "seed %d" seed in
-    Alcotest.check H.outcome (ctx ^ ": outcome") sr.outcome pr.outcome;
-    Alcotest.(check (array bool)) (ctx ^ ": visited") sr.visited pr.visited;
-    Alcotest.(check int) (ctx ^ ": deliveries") sr.deliveries pr.deliveries;
-    Alcotest.(check int)
-      (ctx ^ ": dropped")
-      sr.fault_stats.dropped_copies pr.fault_stats.dropped_copies;
-    Alcotest.(check int)
-      (ctx ^ ": extra")
-      sr.fault_stats.extra_copies pr.fault_stats.extra_copies;
-    Alcotest.(check int)
-      (ctx ^ ": delayed")
-      sr.fault_stats.delayed_copies pr.fault_stats.delayed_copies;
-    Alcotest.(check (list int))
-      (ctx ^ ": dead edges")
-      sr.fault_stats.dead_edges pr.fault_stats.dead_edges
-  done
 
 (* {1 Pool} *)
 
@@ -162,27 +24,136 @@ let pool_empty_and_errors () =
         (Par.Pool.run ~domains:3 16 (fun i ->
              if i = 7 then failwith "job 7" else i)))
 
-let mailbox_batches () =
-  let mb = Par.Mailbox.create () in
-  Alcotest.(check bool) "fresh empty" true (Par.Mailbox.is_empty mb);
-  List.iter (Par.Mailbox.push mb) [ 1; 2; 3 ];
-  Alcotest.(check (list int)) "LIFO batch" [ 3; 2; 1 ] (Par.Mailbox.take_all mb);
-  Alcotest.(check (list int)) "drained" [] (Par.Mailbox.take_all mb);
-  (* Concurrent producers: nothing lost, nothing duplicated. *)
-  let producers =
-    List.init 4 (fun d ->
-        Domain.spawn (fun () ->
-            for i = 0 to 249 do
-              Par.Mailbox.push mb ((d * 250) + i)
-            done))
+let pool_rejects_bad_domains () =
+  List.iter
+    (fun d ->
+      Alcotest.check_raises
+        (Printf.sprintf "domains %d" d)
+        (Invalid_argument "Pool.run: domains < 1")
+        (fun () -> ignore (Par.Pool.run ~domains:d 4 (fun i -> i))))
+    [ 0; -3 ]
+
+let pool_rejects_negative_count () =
+  Alcotest.check_raises "negative job count"
+    (Invalid_argument "Pool.run: negative job count") (fun () ->
+      ignore (Par.Pool.run ~domains:2 (-1) (fun i -> i)))
+
+(* Every index is claimed by exactly one domain, however the domains race
+   for the shared counter. *)
+let pool_each_job_once () =
+  let n = 2_000 in
+  let hits = Array.init n (fun _ -> Atomic.make 0) in
+  ignore (Par.Pool.run ~domains:4 n (fun i -> Atomic.incr hits.(i)));
+  Array.iteri
+    (fun i a ->
+      if Atomic.get a <> 1 then
+        Alcotest.failf "job %d ran %d times" i (Atomic.get a))
+    hits
+
+(* More domains than jobs: the surplus is never spawned, and the order and
+   results are those of the small job set. *)
+let pool_more_domains_than_jobs () =
+  Alcotest.(check (array int)) "3 jobs, 8 domains" [| 0; 10; 20 |]
+    (Par.Pool.run ~domains:8 3 (fun i -> 10 * i));
+  Alcotest.(check (list int)) "one job" [ 42 ]
+    (Par.Pool.map_list ~domains:8 (fun x -> x * 2) [ 21 ])
+
+(* {1 Pool jobs == the same runs one after another, per suite protocol} *)
+
+(* Everything a Fifo run reports, plus the final state digests, the
+   undelivered messages (encoded) and whether the final cut satisfies the
+   protocol's conservation law.  A pool job runs the ordinary sequential
+   engine, so all of it must come back unchanged — including the
+   schedule-dependent measures — unless a protocol or an engine shares
+   mutable state between runs. *)
+let fingerprint (type s m)
+    (module P : Runtime.Protocol_intf.CHECKABLE
+      with type state = s
+       and type message = m) g =
+  let module C = Runtime.Engine.Make (P) in
+  let left = ref [] in
+  let r = C.run ~on_undelivered:(fun m -> left := m :: !left) g in
+  let encode m =
+    let w = Bitio.Bit_writer.create () in
+    P.encode w m;
+    Bitio.Bit_writer.to_string w
   in
-  List.iter Domain.join producers;
-  let got = List.sort compare (Par.Mailbox.take_all mb) in
-  Alcotest.(check (list int)) "1000 pushes survive" (List.init 1000 Fun.id) got
+  let conserved =
+    match P.conservation with
+    | None -> true
+    | Some (Runtime.Protocol_intf.Conservation c) ->
+        let acc =
+          List.fold_left (fun a m -> c.add a (c.of_message m)) c.zero !left
+        in
+        let acc =
+          List.fold_left
+            (fun a v ->
+              c.add a
+                (c.retained
+                   ~out_degree:(Digraph.out_degree g v)
+                   ~in_degree:(Digraph.in_degree g v)
+                   r.E.states.(v)))
+            acc (Digraph.vertices g)
+        in
+        Result.is_ok (c.check acc)
+  in
+  ( H.report_summary r,
+    ( r.E.total_bits,
+      r.E.max_edge_bits,
+      r.E.max_message_bits,
+      r.E.max_state_bits,
+      r.E.max_in_flight,
+      r.E.distinct_messages ),
+    (r.E.edge_messages, r.E.edge_bits, r.E.visited),
+    Array.map P.digest r.E.states,
+    List.map encode !left,
+    conserved )
+
+let pool_case (type s m)
+    (module P : Runtime.Protocol_intf.CHECKABLE
+      with type state = s
+       and type message = m) name graphs =
+  let fp = fingerprint (module P) in
+  let seq = List.map fp graphs in
+  List.iteri
+    (fun i (summary, _, _, _, _, conserved) ->
+      if not conserved then
+        Alcotest.failf "%s: graph %d: conservation breached (%s)" name i summary)
+    seq;
+  List.iter
+    (fun domains ->
+      let pooled = Par.Pool.map_list ~domains fp graphs in
+      List.iteri
+        (fun i (s, p) ->
+          if s <> p then
+            Alcotest.failf "%s: graph %d: %d domains differ from sequential"
+              name i domains)
+        (List.combine seq pooled))
+    [ 2; 4 ]
+
+let pool_tests =
+  List.map
+    (fun (name, cls, p) ->
+      let gen, count =
+        match cls with
+        | `Trees -> (H.gen_grounded_tree, 40)
+        | `Dags -> (H.gen_dag, 30)
+        | `Digraphs -> (H.gen_digraph, 20)
+      in
+      Alcotest.test_case
+        (Printf.sprintf "pool == seq: %s (2/4 domains)" name)
+        `Quick
+        (fun () ->
+          let graphs =
+            QCheck.Gen.generate ~rand:(Random.State.make [| 17 |]) ~n:count gen
+          in
+          let (module P : Runtime.Protocol_intf.CHECKABLE) = p in
+          pool_case (module P) name graphs))
+    (Anonet.Check_suite.protocols ())
 
 (* {1 Parallel campaign} *)
 
-let campaign_matches_sequential () =
+let campaign_matches_sequential ~domains () =
   let module C = Runtime.Campaign in
   let module TR = C.Of_protocol (Anonet.Tree_broadcast) in
   let module GR = C.Of_protocol (Anonet.General_broadcast) in
@@ -209,44 +180,60 @@ let campaign_matches_sequential () =
   let grid = C.grid ~drops:[ 0.0; 0.1 ] ~max_delays:[ 0; 2 ] () in
   let seeds = [ 1; 2; 3 ] in
   let seq = C.run ~runners ~graphs ~grid ~seeds () in
-  let par = Par.Campaign.run ~domains:4 ~runners ~graphs ~grid ~seeds () in
+  let par = Par.Campaign.run ~domains ~runners ~graphs ~grid ~seeds () in
   Alcotest.(check string)
     "identical JSON rendering" (C.to_json seq) (C.to_json par);
   Alcotest.(check bool) "sound" (C.sound seq) (C.sound par)
 
-(* {1 Large-graph smoke test} *)
+(* {1 Parallel chaos} *)
 
-let flood_layered () =
-  let g = F.random_layered_large (Prng.create 7) ~target_edges:2_000 in
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
-  let r = Pn.run ~domains:2 g in
-  Alcotest.check H.outcome "flood quiesces" E.Quiescent r.outcome;
-  Alcotest.(check bool)
-    "all visited" true
-    (Array.for_all Fun.id r.visited);
-  (* Flooding forwards exactly once per vertex, so exactly one delivery per
-     edge regardless of schedule. *)
-  Alcotest.(check int) "one delivery per edge" (Digraph.n_edges g) r.deliveries
+(* At one domain the pooled search is the sequential search; at four, the
+   trial verdicts come back in trial order, so the shrink / dedup phase
+   sees the same sequence and the JSON is byte-identical. *)
+let chaos_matches_sequential () =
+  let cfg =
+    Runtime.Chaos.config ~budget:30 ~seed:5 ~recoveries:[ Runtime.Vfaults.Amnesia ]
+      ~p_edge:0.2 ()
+  in
+  let runners =
+    [ Anonet.Resilient.chaos_runner ~k:1 (module Anonet.Flood) ]
+  in
+  let graphs = Anonet.Resilient.chaos_graphs () in
+  let seq = Runtime.Chaos.to_json (Runtime.Chaos.run cfg ~runners ~graphs) in
+  List.iter
+    (fun domains ->
+      Alcotest.(check string)
+        (Printf.sprintf "%d domains" domains)
+        seq
+        (Runtime.Chaos.to_json (Par.Chaos.run ~domains cfg ~runners ~graphs)))
+    [ 1; 4 ]
 
 let () =
   Alcotest.run "par"
     [
-      ("equivalence", equivalence_tests);
-      ( "sharding",
-        [ Alcotest.test_case "bfs-layers == round-robin" `Quick
-            sharding_equivalent ] );
-      ("faults", [ Alcotest.test_case "tree fault parity" `Quick fault_parity ]);
       ( "pool",
         [
           Alcotest.test_case "deterministic order" `Quick pool_order;
           Alcotest.test_case "empty + exceptions" `Quick pool_empty_and_errors;
-          Alcotest.test_case "mailbox batches" `Quick mailbox_batches;
+          Alcotest.test_case "domains < 1 rejected" `Quick
+            pool_rejects_bad_domains;
+          Alcotest.test_case "negative job count rejected" `Quick
+            pool_rejects_negative_count;
+          Alcotest.test_case "each job claimed once" `Quick pool_each_job_once;
+          Alcotest.test_case "more domains than jobs" `Quick
+            pool_more_domains_than_jobs;
         ] );
+      ("protocols", pool_tests);
       ( "campaign",
         [
           Alcotest.test_case "par sweep == sequential sweep" `Quick
-            campaign_matches_sequential;
+            (campaign_matches_sequential ~domains:4);
+          Alcotest.test_case "1-domain sweep == sequential sweep" `Quick
+            (campaign_matches_sequential ~domains:1);
         ] );
-      ( "throughput",
-        [ Alcotest.test_case "flood on layered graph" `Quick flood_layered ] );
+      ( "chaos",
+        [
+          Alcotest.test_case "1/4 domains == sequential search" `Quick
+            chaos_matches_sequential;
+        ] );
     ]

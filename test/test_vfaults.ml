@@ -225,38 +225,61 @@ let test_vfaulty_runs_reproducible () =
   Alcotest.(check bool) "same fault stats" true
     (a.E.fault_stats = b.E.fault_stats)
 
-(* {1 Sequential vs sharded parity} *)
+(* {1 Cross-scheduler parity} *)
 
 (* Flood sends once per edge, so each vertex is offered exactly in-degree
    copies; with a scripted crash the fates depend only on that per-vertex
-   clock, never on the interleaving — the sharded engine must agree. *)
-let test_sharded_vfault_parity () =
-  let module Pn = Par.Engine.Make (Anonet.Flood) in
+   clock, never on the interleaving — every schedule, on either engine,
+   must agree.  Vertex 1 is the root's only out-neighbour in
+   [random_digraph], so the first script ends every run at its first
+   delivery; the second crashes vertices deeper in the graph, so the
+   schedules really do interleave differently before and after the
+   crashes. *)
+let test_vfault_parity () =
+  let module Fc = Flatcore.Engine.Make (Anonet.Flood) in
+  let scripts =
+    [
+      [
+        V.event ~vertex:1 ~at:1 ~downtime:1 ();
+        V.event ~vertex:2 ~at:1 ~recovery:V.Stop ();
+        V.event ~vertex:3 ~at:2 ~downtime:2 ~recovery:V.Restore ();
+      ];
+      [
+        V.event ~vertex:6 ~at:1 ~downtime:1 ();
+        V.event ~vertex:11 ~at:1 ~recovery:V.Stop ();
+        V.event ~vertex:16 ~at:2 ~downtime:2 ~recovery:V.Restore ();
+      ];
+    ]
+  in
   for seed = 1 to 8 do
     let g =
       F.random_digraph (Prng.create seed) ~n:20 ~extra_edges:12 ~back_edges:4
         ~t_edge_prob:0.25
     in
-    let vfaults =
-      V.script
-        [
-          V.event ~vertex:1 ~at:1 ~downtime:1 ();
-          V.event ~vertex:2 ~at:1 ~recovery:V.Stop ();
-          V.event ~vertex:3 ~at:2 ~downtime:2 ~recovery:V.Restore ();
-        ]
-    in
-    let s = Anonet.Flood_engine.run ~vfaults g in
-    let p = Pn.run ~domains:2 ~vfaults g in
-    Alcotest.(check int) "same crashes" s.E.vfault_stats.E.crashes
-      p.E.vfault_stats.E.crashes;
-    Alcotest.(check int) "same restarts" s.E.vfault_stats.E.restarts
-      p.E.vfault_stats.E.restarts;
-    Alcotest.(check int) "same down drops" s.E.vfault_stats.E.down_drops
-      p.E.vfault_stats.E.down_drops;
-    Alcotest.(check (list int)) "same stopped set"
-      s.E.vfault_stats.E.stopped_vertices p.E.vfault_stats.E.stopped_vertices;
-    Alcotest.(check bool) "same coverage" true (s.E.visited = p.E.visited);
-    Alcotest.(check int) "same deliveries" s.E.deliveries p.E.deliveries
+    List.iter
+      (fun script ->
+        let vfaults = V.script script in
+        let run ~engine ~scheduler =
+          match engine with
+          | Flatcore.Classic -> Anonet.Flood_engine.run ~scheduler ~vfaults g
+          | Flatcore.Flat -> Fc.run ~scheduler ~vfaults g
+        in
+        cross_scheduler_parity ~seed run (fun ctx s p ->
+            let tag name = Printf.sprintf "%s (%s)" name ctx in
+            Alcotest.(check int) (tag "same crashes")
+              s.E.vfault_stats.E.crashes p.E.vfault_stats.E.crashes;
+            Alcotest.(check int) (tag "same restarts")
+              s.E.vfault_stats.E.restarts p.E.vfault_stats.E.restarts;
+            Alcotest.(check int) (tag "same down drops")
+              s.E.vfault_stats.E.down_drops p.E.vfault_stats.E.down_drops;
+            Alcotest.(check (list int)) (tag "same stopped set")
+              s.E.vfault_stats.E.stopped_vertices
+              p.E.vfault_stats.E.stopped_vertices;
+            Alcotest.(check bool) (tag "same coverage") true
+              (s.E.visited = p.E.visited);
+            Alcotest.(check int) (tag "same deliveries") s.E.deliveries
+              p.E.deliveries))
+      scripts
   done
 
 (* {1 Redundant checksum rejections} *)
@@ -366,7 +389,7 @@ let () =
             test_crash_stop_engine_counters;
           Alcotest.test_case "vfaulty runs reproducible" `Quick
             test_vfaulty_runs_reproducible;
-          Alcotest.test_case "sharded parity" `Quick test_sharded_vfault_parity;
+          Alcotest.test_case "cross-scheduler parity" `Quick test_vfault_parity;
         ] );
       ( "supervisor",
         [
