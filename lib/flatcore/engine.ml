@@ -5,32 +5,26 @@
 
    The contract is Engine_sig.S: for equal inputs, every field of the
    returned report and every deterministic [engine.*] Obs counter is
-   byte-for-byte identical to [Runtime.Engine.Make].  The flat engine is a
-   different evaluation order of the same math, never a different
-   semantics, and [test/test_flatcore.ml] property-tests exactly that
-   across protocols x graph families x faults x vfaults x churn x
-   schedulers.
+   byte-for-byte identical to [Runtime.Engine.Make], which
+   [test/test_flatcore.ml] property-tests across protocols x graph
+   families x faults x vfaults x churn x schedulers.
 
-   Where the classic engine spends its per-delivery budget:
-   - a [Bit_writer] allocation + encode to learn the wire size,
-   - a [length ^ ":" ^ bytes] key string + hashtable probe for
-     [distinct_messages],
-   - a heap-allocated flight record and a queue cell per copy.
-
-   Here a message is encoded once per physically-distinct value at send
-   time (a pointer-equality memo catches the overwhelmingly common case of
-   a protocol re-sending one value on every port) into a bump arena of
-   bytes; the slot id rides with the copy, so a delivery charges bits and
-   dedups symbols with two int loads and a byte flag.  The fast path goes
-   further and keeps the whole in-flight pool as one int array of edge
-   indices. *)
+   Only the layout lives here.  The scheduler pools ([E.pool]), every copy
+   and vertex fate with the states, checkpoints and fault counters
+   ([E.Fate]), the lineage journal and the telemetry are shared with the
+   classic engine.  What differs: targets resolve through the CSR arrays;
+   a message is encoded once per physically-distinct value at send time
+   (a pointer-equality memo catches a protocol re-sending one value on
+   every port) into a bump arena, so a delivery charges bits and dedups
+   symbols with two int loads and a byte flag instead of an encode, a key
+   string and a table probe; and the flood fast path keeps the whole
+   in-flight pool as one int array of edge indices. *)
 
 module E = Runtime.Engine
 module Scheduler = Runtime.Scheduler
 module Faults = Runtime.Faults
 module Vfaults = Runtime.Vfaults
 module Churn = Runtime.Churn
-module Supervisor = Runtime.Supervisor
 module Binheap = Runtime.Binheap
 
 (* {1 The message arena}
@@ -103,111 +97,21 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
   type state = P.state
   type message = P.message
 
+  module Fate = E.Fate (P)
+
   (* A copy in flight.  [fv/fp/tv/tp] of the classic flight are all
      recoverable from [edge] via the CSR arrays, so only the scheduling
-     identity, the fault bit, the protocol value (for [receive]), the
-     arena slot (for everything charged by wire size) and the causal
-     provenance ([lp] = parent lineage node id, [ld] = causal depth —
-     same convention as the classic flight) travel. *)
+     identity, the fault bit, the causal parent ([lp], as in the classic
+     flight), the protocol value (for [receive]) and the arena slot (for
+     everything charged by wire size) travel. *)
   type flight = {
     seq : int;
     edge : int;
     corrupt : bool;
     lp : int;
-    ld : int;
     msg : P.message;
     slot : int;
   }
-
-  (* In-flight pools, one per scheduling policy — the same structures (and
-     therefore the same PRNG draw sequences and tie-breaks) as the classic
-     engine's. *)
-  let make_pool scheduler =
-    match (scheduler : Scheduler.t) with
-    | Fifo ->
-        let q = Queue.create () in
-        ( (fun f -> Queue.add f q),
-          (fun () -> Queue.take_opt q),
-          fun () ->
-            let l = List.of_seq (Queue.to_seq q) in
-            Queue.clear q;
-            l )
-    | Lifo ->
-        let st = ref [] in
-        ( (fun f -> st := f :: !st),
-          (fun () ->
-            match !st with
-            | [] -> None
-            | f :: rest ->
-                st := rest;
-                Some f),
-          fun () ->
-            let l = !st in
-            st := [];
-            l )
-    | Random g ->
-        let arr = ref [||] and len = ref 0 in
-        let push f =
-          if !len = Array.length !arr then begin
-            let cap = Stdlib.max 16 (2 * !len) in
-            let bigger = Array.make cap f in
-            Array.blit !arr 0 bigger 0 !len;
-            arr := bigger
-          end;
-          !arr.(!len) <- f;
-          incr len
-        in
-        let pop () =
-          if !len = 0 then None
-          else begin
-            let i = Prng.int g !len in
-            let f = !arr.(i) in
-            decr len;
-            !arr.(i) <- !arr.(!len);
-            Some f
-          end
-        in
-        let drain () =
-          let l = Array.to_list (Array.sub !arr 0 !len) in
-          len := 0;
-          l
-        in
-        (push, pop, drain)
-    | Edge_priority prio ->
-        let h = Binheap.create () in
-        let pop () = Option.map snd (Binheap.pop h) in
-        let rec drain acc =
-          match pop () with None -> List.rev acc | Some f -> drain (f :: acc)
-        in
-        ((fun f -> Binheap.push h (prio f.edge, f.seq) f), pop, fun () -> drain [])
-    | Replay order ->
-        let pool : (int, flight) Hashtbl.t = Hashtbl.create 32 in
-        let remaining = ref order in
-        let push f = Hashtbl.replace pool f.seq f in
-        let pop () =
-          match !remaining with
-          | [] -> None
-          | s :: rest -> (
-              match Hashtbl.find_opt pool s with
-              | Some f ->
-                  remaining := rest;
-                  Hashtbl.remove pool s;
-                  Some f
-              | None -> None)
-        in
-        let drain () =
-          let l = Hashtbl.fold (fun _ f acc -> f :: acc) pool [] in
-          Hashtbl.reset pool;
-          List.sort (fun a b -> compare a.seq b.seq) l
-        in
-        (push, pop, drain)
-
-  let flip_bit s b =
-    let bytes = Bytes.of_string s in
-    let i = b / 8 in
-    Bytes.set bytes i
-      (Char.chr (Char.code (Bytes.get bytes i) lxor (1 lsl (7 - (b mod 8)))));
-    Bytes.to_string bytes
 
   (* {1 The flood certificate}
 
@@ -331,25 +235,12 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
     in
     let time_receive = ref false in
     (* [bits_total] is passed in because the classic engine samples
-       [engine.total_bits] {e before} charging the current delivery. *)
-    let obs_sample ~bits_total =
-      match oh with
-      | None -> ()
-      | Some h ->
-          let tl = h.E.oh_timeline and track = 0 in
-          let in_flight = !tail - !head in
-          Obs.Registry.set h.E.g_in_flight in_flight;
-          Obs.Registry.set h.E.g_wavefront !n_visited;
-          (* entered - delivered - in_flight: every pop is a delivery here,
-             so the residual is identically 0 — sampled anyway to keep the
-             reconciliation series present. *)
-          Obs.Registry.set h.E.g_residual 0;
-          Obs.Timeline.sample tl ~track "engine.in_flight" (float_of_int in_flight);
-          Obs.Timeline.sample tl ~track "engine.wavefront" (float_of_int !n_visited);
-          Obs.Timeline.sample tl ~track "engine.cut_residual" 0.0;
-          Obs.Timeline.sample tl ~track "engine.deliveries" (float_of_int !deliveries);
-          Obs.Timeline.sample tl ~track "engine.total_bits"
-            (float_of_int bits_total)
+       [engine.total_bits] {e before} charging the current delivery.  Every
+       pop is a delivery here, so the cut residual is identically 0 —
+       sampled anyway to keep the reconciliation series present. *)
+    let obs_sample h ~bits_total =
+      E.sample_obs h ~in_flight:(!tail - !head) ~n_visited:!n_visited
+        ~residual:0 ~deliveries:!deliveries ~total_bits:bits_total
     in
     (match oh with
     | Some h -> Obs.Timeline.begin_span h.E.oh_timeline ~track:0 "engine.run"
@@ -408,7 +299,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
             if !until_sample <= 0 then begin
               until_sample := h.E.oh_sample_every;
               time_receive := true;
-              obs_sample ~bits_total:((!deliveries - 1) * bpm)
+              obs_sample h ~bits_total:((!deliveries - 1) * bpm)
             end
         | None -> ());
         Array.unsafe_set edge_messages e (Array.unsafe_get edge_messages e + 1);
@@ -481,7 +372,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
     | None -> ());
     (match oh with
     | Some h ->
-        obs_sample ~bits_total:(!deliveries * bpm);
+        obs_sample h ~bits_total:(!deliveries * bpm);
         Obs.Timeline.end_span h.E.oh_timeline ~track:0 "engine.run"
     | None -> ());
     let edge_bits = Array.map (fun c -> c * bpm) edge_messages in
@@ -506,49 +397,36 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
 
   (* {1 The generic path}
 
-     A delivery-for-delivery transcription of [Runtime.Engine.Make(P).run]:
-     same fault / vfault / churn fate order, same PRNG streams, same pool
-     behavior, same Obs counter updates — with targets resolved through
-     the CSR arrays and wire sizes through the arena instead of a
-     per-delivery encode. *)
+     The classic engine's delivery loop over the flat layout: the same
+     shared pool, fates and telemetry, in the same order, with targets
+     resolved through the CSR arrays and wire sizes through the arena
+     instead of a per-delivery encode. *)
   let run_generic csr ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
       ~churn ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop
       ~on_undelivered () =
     let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
     let n = Csr.n_vertices csr in
     let ne = Csr.n_edges csr in
-    (match lineage with
-    | Some l -> Obs.Lineage.bind l ~n_vertices:n ~n_edges:ne
-    | None -> ());
-    (* Same causal-context discipline as the classic engine: (0, 0)
-       outside a receive's send burst. *)
+    let journal = E.journal lineage ~n_vertices:n ~n_edges:ne in
+    (* Same causal-context discipline as the classic engine: 0 outside a
+       receive's send burst. *)
     let lin_parent = ref 0 in
-    let lin_depth = ref 0 in
     let t = Csr.terminal csr in
     let row = csr.Csr.row
     and head_arr = csr.Csr.head
     and tgt_port = csr.Csr.tgt_port
     and src = csr.Csr.src in
-    let states =
-      Array.init n (fun v ->
-          P.initial_state
-            ~out_degree:(Csr.out_degree csr v)
-            ~in_degree:(Csr.in_degree csr v))
+    let fate =
+      Fate.start ~oh ~faults ~vfaults ~churn ~supervisor ~n_vertices:n
+        ~n_edges:ne ~out_degree:(Csr.out_degree csr)
+        ~in_degree:(Csr.in_degree csr)
     in
-    let initial_of v =
-      P.initial_state
-        ~out_degree:(Csr.out_degree csr v)
-        ~in_degree:(Csr.in_degree csr v)
-    in
-    let visited = Array.make n false in
+    let states = Fate.states fate in
     let edge_messages = Array.make (Stdlib.max ne 1) 0 in
     let edge_bits = Array.make (Stdlib.max ne 1) 0 in
     let total_bits = ref 0 in
     let max_message_bits = ref 0 in
     let deliveries = ref 0 in
-    let corrupted_deliveries = ref 0 in
-    let garbled_drops = ref 0 in
-    let checksum_rejects = ref 0 in
     let arena = arena_create () in
     (* Encode-once memo: protocols overwhelmingly re-send one physical
        message value (flood's token, a just-built commodity fanned over
@@ -575,43 +453,14 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
           memo := Some (msg, slot);
           slot
     in
-    let push, pop, drain = make_pool scheduler in
-    let faulty = not (Faults.is_none faults) in
-    let fi = Faults.Instance.start faults in
-    let vfaulty = not (Vfaults.is_none vfaults) in
-    let vfi = Vfaults.Instance.start vfaults in
-    let churny = not (Churn.is_none churn) in
-    let ci = Churn.Instance.start churn in
-    let supervised = supervisor <> None in
-    let need_ckpt = vfaulty || supervised in
-    let ckpt = if need_ckpt then Array.copy states else [||] in
-    let ckpt_visited = if need_ckpt then Array.make n false else [||] in
-    let ckpt_cadence =
-      match supervisor with
-      | Some (c : Supervisor.config) -> c.checkpoint_every
-      | None -> 1
+    let push, pop, drain =
+      E.pool scheduler ~seq:(fun f -> f.seq) ~edge:(fun f -> f.edge)
     in
-    let vdeliv = Array.make (if need_ckpt then n else 0) 0 in
-    let lost_state_bits = ref 0 in
-    let checkpoints = ref 0 in
-    let replayed = ref 0 in
     let delayed : (int * int, flight) Binheap.t = Binheap.create () in
     let next_seq = ref 0 in
-    let max_state_bits = ref 0 in
     let in_flight = ref 0 in
     let max_in_flight = ref 0 in
-    let n_visited = ref 0 in
-    let mark_visited v =
-      if not visited.(v) then begin
-        visited.(v) <- true;
-        incr n_visited
-      end
-    in
     let entered = ref 0 in
-    let note_state st =
-      let b = P.state_bits st in
-      if b > !max_state_bits then max_state_bits := b
-    in
     let enter f ~delay =
       incr in_flight;
       incr entered;
@@ -623,77 +472,28 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
       ref (match oh with Some h -> h.E.oh_sample_every | None -> max_int)
     in
     let time_receive = ref false in
-    let obs_sample () =
-      match oh with
-      | None -> ()
-      | Some h ->
-          let tl = h.E.oh_timeline and track = 0 in
-          Obs.Registry.set h.E.g_in_flight !in_flight;
-          Obs.Registry.set h.E.g_wavefront !n_visited;
-          let residual = !entered - !deliveries - !in_flight in
-          Obs.Registry.set h.E.g_residual residual;
-          Obs.Timeline.sample tl ~track "engine.in_flight" (float_of_int !in_flight);
-          Obs.Timeline.sample tl ~track "engine.wavefront" (float_of_int !n_visited);
-          Obs.Timeline.sample tl ~track "engine.cut_residual" (float_of_int residual);
-          Obs.Timeline.sample tl ~track "engine.deliveries" (float_of_int !deliveries);
-          Obs.Timeline.sample tl ~track "engine.total_bits" (float_of_int !total_bits)
+    let obs_sample h =
+      E.sample_obs h ~in_flight:!in_flight ~n_visited:(Fate.n_visited fate)
+        ~residual:(!entered - !deliveries - !in_flight)
+        ~deliveries:!deliveries ~total_bits:!total_bits
     in
-    let last_msg : P.message option array =
-      Array.make (if supervised then Stdlib.max ne 1 else 1) None
-    in
-    let sup_prng =
-      Prng.create
-        (match supervisor with Some (c : Supervisor.config) -> c.seed | None -> 0)
-    in
-    let retries_left =
-      ref
-        (match supervisor with
-        | Some (c : Supervisor.config) -> c.max_retries
-        | None -> 0)
-    in
-    let sup_round = ref 0 in
     let send ?(extra_delay = 0) fv fp msg =
       let edge = row.(fv) + fp in
-      (match oh with Some h -> Obs.Registry.incr h.E.c_sends | None -> ());
-      if supervised then last_msg.(edge) <- Some msg;
-      let slot = slot_of msg in
-      let lp = !lin_parent and ld = !lin_depth + 1 in
-      if not faulty then begin
-        enter
-          { seq = !next_seq; edge; corrupt = false; lp; ld; msg; slot }
-          ~delay:extra_delay;
-        incr next_seq
-      end
-      else
-        List.iter
-          (fun ({ delay; flip_bit = corrupt } : Faults.copy_fate) ->
-            enter
-              { seq = !next_seq; edge; corrupt; lp; ld; msg; slot }
-              ~delay:(delay + extra_delay);
-            incr next_seq)
-          (Faults.Instance.on_send fi ~edge)
+      let copies = Fate.copies fate ~edge msg in
+      let slot = slot_of msg and lp = !lin_parent in
+      List.iter
+        (fun ({ delay; flip_bit = corrupt } : Faults.copy_fate) ->
+          enter
+            { seq = !next_seq; edge; corrupt; lp; msg; slot }
+            ~delay:(delay + extra_delay);
+          incr next_seq)
+        copies
     in
     let retransmit () =
-      match supervisor with
-      | None -> false
-      | Some (cfg : Supervisor.config) ->
-          lin_parent := 0;
-          lin_depth := 0;
-          let sent = ref false in
-          for e = 0 to ne - 1 do
-            match last_msg.(e) with
-            | Some msg when Vfaults.Instance.is_up vfi ~vertex:src.(e) ->
-                let fv = src.(e) in
-                let extra_delay = Supervisor.backoff cfg sup_prng ~round:!sup_round in
-                send ~extra_delay fv (e - row.(fv)) msg;
-                incr replayed;
-                (match oh with Some h -> Obs.Registry.incr h.E.c_replayed | None -> ());
-                sent := true
-            | _ -> ()
-          done;
-          incr sup_round;
-          decr retries_left;
-          !sent
+      Fate.retransmit fate
+        ~source:(fun e -> src.(e))
+        ~send:(fun ~extra_delay e msg ->
+          send ~extra_delay src.(e) (e - row.(src.(e))) msg)
     in
     let release_due () =
       let continue = ref true in
@@ -713,7 +513,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
     List.iter
       (fun (j, msg) -> send se j msg)
       (P.root_emit ~out_degree:(Csr.out_degree csr se));
-    mark_visited se;
+    Fate.mark_visited fate se;
     let outcome = ref E.Quiescent in
     let running = ref true in
     while !running do
@@ -736,7 +536,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
                   outcome := E.Terminated;
                   running := false
                 end
-                else if !retries_left > 0 && retransmit () then ()
+                else if retransmit () then ()
                 else begin
                   outcome := E.Quiescent;
                   running := false
@@ -744,165 +544,38 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
         | Some f -> (
             incr deliveries;
             decr in_flight;
-            (match lineage with
-            | Some l ->
-                Obs.Lineage.note l ~id:!deliveries ~parent:f.lp ~depth:f.ld
-                  ~edge:f.edge ~vertex:head_arr.(f.edge) ~track:0
-            | None -> ());
+            E.journal_pop journal ~edge:f.edge ~parent:f.lp;
             (match on_pop with Some hook -> hook f.seq | None -> ());
-            let cfate =
-              if churny then Churn.Instance.on_offer ci ~edge:f.edge
-              else Churn.Cross
-            in
-            if cfate <> Churn.Cross then begin
-              match oh with
-              | None -> ()
-              | Some h ->
-                  Obs.Registry.incr h.E.c_deliveries;
-                  decr until_sample;
-                  if !until_sample <= 0 then begin
-                    until_sample := h.E.oh_sample_every;
-                    obs_sample ()
-                  end;
-                  let tl = h.E.oh_timeline and track = 0 in
-                  let mark kind =
-                    Obs.Timeline.instant tl ~track
-                      (Printf.sprintf "churn.%s:%d" kind f.edge)
-                  in
-                  (match cfate with
-                  | Churn.Removed left ->
-                      mark "remove";
-                      if left = 0 then mark "heal"
-                  | Churn.Back `Heal -> mark "heal"
-                  | Churn.Back `Add -> mark "add"
-                  | Churn.Down | Churn.Cross -> ())
-            end
-            else begin
-              let len_bits = arena.len_bits.(f.slot) in
-              let bits = len_bits + payload_bits in
-              (match oh with
-              | Some h ->
-                  Obs.Registry.incr h.E.c_deliveries;
-                  Obs.Registry.add h.E.c_bits bits;
-                  Obs.Registry.observe h.E.h_message_bits bits;
-                  decr until_sample;
-                  if !until_sample <= 0 then begin
-                    until_sample := h.E.oh_sample_every;
-                    time_receive := true;
-                    obs_sample ()
-                  end
-              | None -> ());
-              if verify_codec then begin
-                let r =
-                  Bitio.Bit_reader.of_string ~length_bits:len_bits
-                    (arena_string arena f.slot)
-                in
-                let decoded =
-                  try P.decode r
-                  with exn ->
-                    raise
-                      (E.Codec_mismatch
-                         (Printf.sprintf "%s: decode raised %s" P.name
-                            (Printexc.to_string exn)))
-                in
-                if not (P.equal_message decoded f.msg) then
-                  raise
-                    (E.Codec_mismatch
-                       (Format.asprintf "%s: %a decoded as %a" P.name
-                          P.pp_message f.msg P.pp_message decoded));
-                if not (Bitio.Bit_reader.at_end r) then
-                  raise
-                    (E.Codec_mismatch
-                       (Printf.sprintf "%s: %d trailing bits after decode"
-                          P.name
-                          (Bitio.Bit_reader.remaining r)))
-              end;
-              arena_mark_seen arena f.slot;
-              total_bits := !total_bits + bits;
-              edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
-              edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
-              if bits > !max_message_bits then max_message_bits := bits;
-              let tv = head_arr.(f.edge) in
-              let vfate =
-                if vfaulty then Vfaults.Instance.on_deliver vfi ~vertex:tv
-                else Vfaults.Deliver
-              in
-              match vfate with
-              | Vfaults.Stutter -> (
-                  match oh with
-                  | Some h -> Obs.Registry.incr h.E.c_stuttered
-                  | None -> ())
-              | Vfaults.Down_drop -> (
-                  match oh with
-                  | Some h ->
-                      Obs.Registry.incr h.E.c_down_drops;
-                      let nr = Vfaults.Instance.restarts vfi in
-                      let seen = Obs.Registry.value h.E.c_restarts in
-                      if nr > seen then Obs.Registry.add h.E.c_restarts (nr - seen)
-                  | None -> ())
-              | Vfaults.Crash (recovery, _downtime) -> (
-                  (match oh with
-                  | Some h -> Obs.Registry.incr h.E.c_crashes
-                  | None -> ());
-                  let old_bits = P.state_bits states.(tv) in
-                  match recovery with
-                  | Vfaults.Stop -> ()
-                  | Vfaults.Amnesia when not supervised ->
-                      lost_state_bits := !lost_state_bits + old_bits;
-                      (match oh with
-                      | Some h -> Obs.Registry.add h.E.c_lost_state_bits old_bits
-                      | None -> ());
-                      states.(tv) <- initial_of tv;
-                      if visited.(tv) then begin
-                        visited.(tv) <- false;
-                        decr n_visited
-                      end
-                  | Vfaults.Amnesia | Vfaults.Restore ->
-                      let restored = ckpt.(tv) in
-                      let lost = Stdlib.max 0 (old_bits - P.state_bits restored) in
-                      lost_state_bits := !lost_state_bits + lost;
-                      (match oh with
-                      | Some h -> Obs.Registry.add h.E.c_lost_state_bits lost
-                      | None -> ());
-                      states.(tv) <- restored;
-                      if ckpt_visited.(tv) then mark_visited tv
-                      else if visited.(tv) then begin
-                        visited.(tv) <- false;
-                        decr n_visited
-                      end)
-              | Vfaults.Deliver -> (
+            match Fate.offer fate ~edge:f.edge with
+            | Churn.Cross ->
+                let length_bits = arena.len_bits.(f.slot) in
+                let bits = length_bits + payload_bits in
+                (match oh with
+                | Some h ->
+                    Obs.Registry.incr h.E.c_deliveries;
+                    Obs.Registry.add h.E.c_bits bits;
+                    Obs.Registry.observe h.E.h_message_bits bits;
+                    decr until_sample;
+                    if !until_sample <= 0 then begin
+                      until_sample := h.E.oh_sample_every;
+                      time_receive := true;
+                      obs_sample h
+                    end
+                | None -> ());
+                if verify_codec then
+                  Fate.verify ~length_bits (arena_string arena f.slot) f.msg;
+                arena_mark_seen arena f.slot;
+                total_bits := !total_bits + bits;
+                edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
+                edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
+                if bits > !max_message_bits then max_message_bits := bits;
+                let tv = head_arr.(f.edge) in
+                if Fate.arrive fate ~vertex:tv then begin
                   let delivered =
                     if not f.corrupt then Some f.msg
-                    else if len_bits = 0 then Some f.msg
-                    else begin
-                      let b =
-                        Faults.Instance.corrupt_bit fi ~edge:f.edge
-                          ~length_bits:len_bits
-                      in
-                      let s = flip_bit (arena_string arena f.slot) b in
-                      let r = Bitio.Bit_reader.of_string ~length_bits:len_bits s in
-                      match P.decode r with
-                      | decoded ->
-                          if not (P.equal_message decoded f.msg) then begin
-                            incr corrupted_deliveries;
-                            match oh with
-                            | Some h -> Obs.Registry.incr h.E.c_corrupted
-                            | None -> ()
-                          end;
-                          Some decoded
-                      | exception Runtime.Protocol_intf.Checksum_reject ->
-                          incr checksum_rejects;
-                          (match oh with
-                          | Some h -> Obs.Registry.incr h.E.c_checksum_rejects
-                          | None -> ());
-                          None
-                      | exception _ ->
-                          incr garbled_drops;
-                          (match oh with
-                          | Some h -> Obs.Registry.incr h.E.c_garbled
-                          | None -> ());
-                          None
-                    end
+                    else
+                      Fate.corrupt fate ~edge:f.edge ~length_bits
+                        (arena_string arena f.slot) f.msg
                   in
                   match delivered with
                   | None -> ()
@@ -923,51 +596,31 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
                             }
                             msg
                       | None -> ());
-                      mark_visited tv;
-                      let t0 =
-                        match oh with
-                        | Some h when !time_receive -> Obs.Timeline.now h.E.oh_timeline
-                        | _ -> 0.0
-                      in
+                      Fate.mark_visited fate tv;
                       let state', sends =
-                        P.receive
-                          ~out_degree:(Csr.out_degree csr tv)
-                          ~in_degree:(Csr.in_degree csr tv)
-                          states.(tv) msg ~in_port:tp
+                        Fate.receive fate ~vertex:tv ~in_port:tp
+                          ~timed:!time_receive msg
                       in
-                      (match oh with
-                      | Some h when !time_receive ->
-                          time_receive := false;
-                          let ns =
-                            int_of_float
-                              ((Obs.Timeline.now h.E.oh_timeline -. t0) *. 1e9)
-                          in
-                          Obs.Registry.add h.E.c_receive_ns ns;
-                          Obs.Registry.observe h.E.h_receive_ns ns
-                      | _ -> ());
-                      states.(tv) <- state';
-                      note_state state';
-                      if need_ckpt then begin
-                        vdeliv.(tv) <- vdeliv.(tv) + 1;
-                        if vdeliv.(tv) mod ckpt_cadence = 0 then begin
-                          ckpt.(tv) <- state';
-                          ckpt_visited.(tv) <- true;
-                          incr checkpoints;
-                          match oh with
-                          | Some h -> Obs.Registry.incr h.E.c_checkpoints
-                          | None -> ()
-                        end
-                      end;
+                      time_receive := false;
                       lin_parent := !deliveries;
-                      lin_depth := f.ld;
                       List.iter (fun (j, msg) -> send tv j msg) sends;
                       lin_parent := 0;
-                      lin_depth := 0;
                       if tv = t && P.accepting state' then begin
                         outcome := E.Terminated;
                         running := false
-                      end)
-            end)
+                      end
+                end
+            | cfate -> (
+                match oh with
+                | None -> ()
+                | Some h ->
+                    Obs.Registry.incr h.E.c_deliveries;
+                    decr until_sample;
+                    if !until_sample <= 0 then begin
+                      until_sample := h.E.oh_sample_every;
+                      obs_sample h
+                    end;
+                    Fate.mark_churn fate ~edge:f.edge cfate))
       end
     done;
     (match on_undelivered with
@@ -980,79 +633,26 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
           | Some (_, f) -> hook f.msg
           | None -> continue := false
         done);
+    E.journal_close journal ~heads:head_arr;
+    let fault_stats, vfault_stats, churn_stats = Fate.finish fate in
     (match oh with
     | Some h ->
-        obs_sample ();
-        if faulty then begin
-          Obs.Registry.add h.E.c_dropped (Faults.Instance.dropped_copies fi);
-          Obs.Registry.add h.E.c_extra (Faults.Instance.extra_copies fi);
-          Obs.Registry.add h.E.c_delayed (Faults.Instance.delayed_copies fi)
-        end;
-        if churny then begin
-          Obs.Registry.add h.E.c_churn_adds (Churn.Instance.adds ci);
-          Obs.Registry.add h.E.c_churn_removes (Churn.Instance.removes ci);
-          Obs.Registry.add h.E.c_churn_heals (Churn.Instance.heals ci);
-          Obs.Registry.add h.E.c_churn_lost (Churn.Instance.lost ci);
-          Obs.Registry.add h.E.c_churn_violations
-            (Churn.Instance.window_violations ci)
-        end;
+        obs_sample h;
         Obs.Timeline.end_span h.E.oh_timeline ~track:0 "engine.run"
     | None -> ());
-    let fault_stats =
-      if not faulty then
-        {
-          E.no_faults_stats with
-          corrupted_deliveries = !corrupted_deliveries;
-          garbled_drops = !garbled_drops;
-          checksum_rejects = !checksum_rejects;
-        }
-      else
-        {
-          E.dropped_copies = Faults.Instance.dropped_copies fi;
-          extra_copies = Faults.Instance.extra_copies fi;
-          delayed_copies = Faults.Instance.delayed_copies fi;
-          corrupted_deliveries = !corrupted_deliveries;
-          garbled_drops = !garbled_drops;
-          checksum_rejects = !checksum_rejects;
-          dead_edges = Faults.Instance.dead_edges fi;
-        }
-    in
-    let vfault_stats =
-      {
-        E.crashes = Vfaults.Instance.crashes vfi;
-        restarts = Vfaults.Instance.restarts vfi;
-        lost_state_bits = !lost_state_bits;
-        down_drops = Vfaults.Instance.down_drops vfi;
-        stuttered = Vfaults.Instance.stuttered vfi;
-        stopped_vertices = Vfaults.Instance.stopped vfi;
-        checkpoints = !checkpoints;
-        replayed = !replayed;
-      }
-    in
-    let churn_stats =
-      if not churny then E.no_churn_stats
-      else
-        {
-          E.adds = Churn.Instance.adds ci;
-          removes = Churn.Instance.removes ci;
-          heals = Churn.Instance.heals ci;
-          messages_lost_in_flight = Churn.Instance.lost ci;
-          window_violations = Churn.Instance.window_violations ci;
-        }
-    in
     {
       E.outcome = !outcome;
       deliveries = !deliveries;
       total_bits = !total_bits;
       max_edge_bits = Array.fold_left Stdlib.max 0 edge_bits;
       max_message_bits = !max_message_bits;
-      max_state_bits = !max_state_bits;
+      max_state_bits = Fate.max_state_bits fate;
       max_in_flight = !max_in_flight;
       final_in_flight = !in_flight;
       distinct_messages = arena.distinct;
       edge_messages;
       edge_bits;
-      visited;
+      visited = Fate.visited fate;
       states;
       fault_stats;
       vfault_stats;
@@ -1064,12 +664,8 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
       ?(vfaults = Vfaults.none) ?(churn = Churn.none) ?supervisor
       ?(verify_codec = false) ?stop ?obs ?lineage ?on_deliver ?on_pop
       ?on_undelivered csr =
-    let oh = Option.map (fun o -> E.obs_hooks o) obs in
-    let gc0 =
-      match obs with
-      | Some _ -> Some (Gc.quick_stat (), Gc.minor_words ())
-      | None -> None
-    in
+    let oh = Option.map E.obs_hooks obs in
+    let gc0 = E.gc_start obs in
     let plain =
       (match scheduler with Scheduler.Fifo -> true | _ -> false)
       && Faults.is_none faults && Vfaults.is_none vfaults
@@ -1085,25 +681,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
             ~churn ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver
             ~on_pop ~on_undelivered ()
     in
-    (* Same telemetry epilogue as the classic engine: GC deltas as
-       gauges, end-of-run heap size, and the timeline ring's overwrite
-       count mirrored monotonically into [timeline.dropped]. *)
-    (match (obs, gc0) with
-    | Some o, Some (g0, mw0) ->
-        let g1 = Gc.quick_stat () in
-        let set name v =
-          Obs.Registry.set (Obs.Registry.gauge o.Obs.registry name) v
-        in
-        set "engine.gc.minor_words" (int_of_float (Gc.minor_words () -. mw0));
-        set "engine.gc.major_words"
-          (int_of_float (g1.Gc.major_words -. g0.Gc.major_words));
-        set "engine.gc.heap_words" g1.Gc.heap_words;
-        set "engine.gc.compactions" (g1.Gc.compactions - g0.Gc.compactions);
-        let c = Obs.Registry.counter o.Obs.registry "timeline.dropped" in
-        let d = Obs.Timeline.dropped o.Obs.timeline in
-        let seen = Obs.Registry.value c in
-        if d > seen then Obs.Registry.add c (d - seen)
-    | _ -> ());
+    E.gc_finish obs gc0;
     report
 
   let run ?scheduler ?payload_bits ?step_limit ?faults ?vfaults ?churn

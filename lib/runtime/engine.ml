@@ -161,9 +161,527 @@ let obs_hooks (o : Obs.t) =
     g_residual = Obs.Registry.gauge reg "engine.cut_residual";
   }
 
+(* {1 Code shared by both engines}
+
+   Everything below up to [Make] is the part of a run that does not depend
+   on how the graph and the in-flight copies are laid out: the scheduler
+   pools, the fate of every copy and vertex, and the run telemetry.  The
+   classic engine ([Make]) and [Flatcore.Engine] both call it, so a fault
+   rule, counter or bugfix lands once. *)
+
+(* In-flight message pool, specialized per scheduling policy.  Returns
+   (push, pop, drain): [drain] empties the pool and returns whatever was
+   still held, so the engine can report undelivered messages at the end of
+   a run (conservation-law checks need the full cut). *)
+let pool (scheduler : Scheduler.t) ~seq ~edge =
+  match scheduler with
+  | Fifo ->
+      let q = Queue.create () in
+      ( (fun f -> Queue.add f q),
+        (fun () -> Queue.take_opt q),
+        fun () ->
+          let l = List.of_seq (Queue.to_seq q) in
+          Queue.clear q;
+          l )
+  | Lifo ->
+      let st = ref [] in
+      ( (fun f -> st := f :: !st),
+        (fun () ->
+          match !st with
+          | [] -> None
+          | f :: rest ->
+              st := rest;
+              Some f),
+        fun () ->
+          let l = !st in
+          st := [];
+          l )
+  | Random g ->
+      let arr = ref [||] and len = ref 0 in
+      let push f =
+        if !len = Array.length !arr then begin
+          let cap = Stdlib.max 16 (2 * !len) in
+          let bigger = Array.make cap f in
+          Array.blit !arr 0 bigger 0 !len;
+          arr := bigger
+        end;
+        !arr.(!len) <- f;
+        incr len
+      in
+      let pop () =
+        if !len = 0 then None
+        else begin
+          let i = Prng.int g !len in
+          let f = !arr.(i) in
+          decr len;
+          !arr.(i) <- !arr.(!len);
+          Some f
+        end
+      in
+      let drain () =
+        let l = Array.to_list (Array.sub !arr 0 !len) in
+        len := 0;
+        l
+      in
+      (push, pop, drain)
+  | Edge_priority prio ->
+      (* Binary min-heap on (priority, seq). *)
+      let h = Binheap.create () in
+      let pop () = Option.map snd (Binheap.pop h) in
+      let rec drain acc =
+        match pop () with None -> List.rev acc | Some f -> drain (f :: acc)
+      in
+      ((fun f -> Binheap.push h (prio (edge f), seq f) f), pop, fun () -> drain [])
+  | Replay order ->
+      (* Deliver exactly the listed seq numbers, in order.  A listed seq
+         that is not yet in flight makes the pool report empty {e without}
+         consuming it: the engine's idle path then releases delay-held
+         copies and fires supervisor retransmissions — the only sources
+         that can still produce it — and retries.  With a faithfully
+         recorded schedule the head always appears; if it never does (an
+         unfaithful schedule) the run stops where the schedule left it. *)
+      let pool = Hashtbl.create 32 in
+      let remaining = ref order in
+      let push f = Hashtbl.replace pool (seq f) f in
+      let pop () =
+        match !remaining with
+        | [] -> None
+        | s :: rest -> (
+            match Hashtbl.find_opt pool s with
+            | Some f ->
+                remaining := rest;
+                Hashtbl.remove pool s;
+                Some f
+            | None -> None)
+      in
+      let drain () =
+        let l = Hashtbl.fold (fun _ f acc -> f :: acc) pool [] in
+        Hashtbl.reset pool;
+        List.sort (fun a b -> compare (seq a) (seq b)) l
+      in
+      (push, pop, drain)
+
+let sample_obs h ~in_flight ~n_visited ~residual ~deliveries ~total_bits =
+  let tl = h.oh_timeline and track = 0 in
+  Obs.Registry.set h.g_in_flight in_flight;
+  Obs.Registry.set h.g_wavefront n_visited;
+  Obs.Registry.set h.g_residual residual;
+  Obs.Timeline.sample tl ~track "engine.in_flight" (float_of_int in_flight);
+  Obs.Timeline.sample tl ~track "engine.wavefront" (float_of_int n_visited);
+  Obs.Timeline.sample tl ~track "engine.cut_residual" (float_of_int residual);
+  Obs.Timeline.sample tl ~track "engine.deliveries" (float_of_int deliveries);
+  Obs.Timeline.sample tl ~track "engine.total_bits" (float_of_int total_bits)
+
+type gc_mark = (Gc.stat * float) option
+
+let gc_start = function
+  | Some _ -> Some (Gc.quick_stat (), Gc.minor_words ())
+  | None -> None
+
+let gc_finish obs (mark : gc_mark) =
+  match (obs, mark) with
+  | Some o, Some (g0, mw0) ->
+      (* GC cost of the run, as gauges: words are deltas (what this run
+         allocated), heap size is the absolute end-of-run footprint. *)
+      let g1 = Gc.quick_stat () in
+      let set name v =
+        Obs.Registry.set (Obs.Registry.gauge o.Obs.registry name) v
+      in
+      set "engine.gc.minor_words" (int_of_float (Gc.minor_words () -. mw0));
+      set "engine.gc.major_words"
+        (int_of_float (g1.Gc.major_words -. g0.Gc.major_words));
+      set "engine.gc.heap_words" g1.Gc.heap_words;
+      set "engine.gc.compactions" (g1.Gc.compactions - g0.Gc.compactions);
+      (* Mirror the timeline ring's overwrite count into the registry
+         (same folding discipline as [c_restarts]: the timeline is the
+         source of truth, the counter tracks it monotonically). *)
+      let c = Obs.Registry.counter o.Obs.registry "timeline.dropped" in
+      let d = Obs.Timeline.dropped o.Obs.timeline in
+      let seen = Obs.Registry.value c in
+      if d > seen then Obs.Registry.add c (d - seen)
+  | _ -> ()
+
+(* Pop journal: one packed [edge lor (parent lsl journal_shift)] slot per
+   consumed copy, handed to the recorder wholesale at run end and replayed
+   into its aggregates on first query — the run itself pays one store per
+   delivery.  Parents are run-local delivery numbers; the recorder offsets
+   them by the nodes it already holds, so one recorder can span runs. *)
+type journal = {
+  j_lineage : Obs.Lineage.t option;
+  mutable j_packed : int array;
+  mutable j_count : int;
+}
+
+let journal lineage ~n_vertices ~n_edges =
+  Option.iter (fun l -> Obs.Lineage.bind l ~n_vertices ~n_edges) lineage;
+  let packed = if lineage = None then [||] else Array.make 1024 0 in
+  { j_lineage = lineage; j_packed = packed; j_count = 0 }
+
+let journal_pop j ~edge ~parent =
+  match j.j_lineage with
+  | None -> ()
+  | Some _ ->
+      if j.j_count = Array.length j.j_packed then begin
+        let bigger = Array.make (2 * j.j_count) 0 in
+        Array.blit j.j_packed 0 bigger 0 j.j_count;
+        j.j_packed <- bigger
+      end;
+      Array.unsafe_set j.j_packed j.j_count
+        (edge lor (parent lsl Obs.Lineage.journal_shift));
+      j.j_count <- j.j_count + 1
+
+let journal_close j ~heads =
+  Option.iter
+    (fun l ->
+      Obs.Lineage.note_journal l ~packed:j.j_packed ~heads ~count:j.j_count
+        ~track:0)
+    j.j_lineage
+
+(* Flip stream-bit [b] of the MSB-first packing produced by Bit_writer. *)
+let flip_bit s b =
+  let bytes = Bytes.of_string s in
+  let i = b / 8 in
+  Bytes.set bytes i
+    (Char.chr (Char.code (Bytes.get bytes i) lxor (1 lsl (7 - (b mod 8)))));
+  Bytes.to_string bytes
+
+module Fate (P : Protocol_intf.PROTOCOL) = struct
+  type t = {
+    oh : obs_hooks option;
+    out_degree : int -> int;
+    in_degree : int -> int;
+    states : P.state array;
+    visited : bool array;
+    mutable n_visited : int;
+    mutable max_state_bits : int;
+    faulty : bool;
+    fi : Faults.Instance.t;
+    vfaulty : bool;
+    vfi : Vfaults.Instance.t;
+    churny : bool;
+    ci : Churn.Instance.t;
+    supervisor : Supervisor.config option;
+    supervised : bool;
+    (* Checkpoints: one state snapshot per vertex (initially pi0), plus the
+       visited flag as of the snapshot.  States are immutable values, so
+       the arrays share structure with [states] rather than copying. *)
+    need_ckpt : bool;
+    ckpt : P.state array;
+    ckpt_visited : bool array;
+    ckpt_cadence : int;
+    vdeliv : int array;
+    (* Supervisor retransmission state: the last message emitted on each
+       dense edge (the only thing a feedback-free repeater can re-send). *)
+    last_msg : P.message option array;
+    sup_prng : Prng.t;
+    mutable retries_left : int;
+    mutable sup_round : int;
+    mutable corrupted : int;
+    mutable garbled : int;
+    mutable checksum_rejects : int;
+    mutable lost_state_bits : int;
+    mutable checkpoints : int;
+    mutable replayed : int;
+  }
+
+  let start ~oh ~faults ~vfaults ~churn ~supervisor ~n_vertices:n ~n_edges:ne
+      ~out_degree ~in_degree =
+    let states =
+      Array.init n (fun v ->
+          P.initial_state ~out_degree:(out_degree v) ~in_degree:(in_degree v))
+    in
+    let vfaulty = not (Vfaults.is_none vfaults) in
+    let supervised = supervisor <> None in
+    let need_ckpt = vfaulty || supervised in
+    let cfg f d =
+      match supervisor with Some (c : Supervisor.config) -> f c | None -> d
+    in
+    {
+      oh;
+      out_degree;
+      in_degree;
+      states;
+      visited = Array.make n false;
+      n_visited = 0;
+      max_state_bits = 0;
+      faulty = not (Faults.is_none faults);
+      fi = Faults.Instance.start faults;
+      vfaulty;
+      vfi = Vfaults.Instance.start vfaults;
+      churny = not (Churn.is_none churn);
+      ci = Churn.Instance.start churn;
+      supervisor;
+      supervised;
+      need_ckpt;
+      ckpt = (if need_ckpt then Array.copy states else [||]);
+      ckpt_visited = (if need_ckpt then Array.make n false else [||]);
+      ckpt_cadence = cfg (fun c -> c.checkpoint_every) 1;
+      vdeliv = Array.make (if need_ckpt then n else 0) 0;
+      last_msg = Array.make (if supervised then Stdlib.max ne 1 else 1) None;
+      sup_prng = Prng.create (cfg (fun c -> c.seed) 0);
+      retries_left = cfg (fun c -> c.max_retries) 0;
+      sup_round = 0;
+      corrupted = 0;
+      garbled = 0;
+      checksum_rejects = 0;
+      lost_state_bits = 0;
+      checkpoints = 0;
+      replayed = 0;
+    }
+
+  let states t = t.states
+  let visited t = t.visited
+  let n_visited t = t.n_visited
+  let max_state_bits t = t.max_state_bits
+
+  let bump t cell =
+    match t.oh with Some h -> Obs.Registry.incr (cell h) | None -> ()
+
+  let mark_visited t v =
+    if not t.visited.(v) then begin
+      t.visited.(v) <- true;
+      t.n_visited <- t.n_visited + 1
+    end
+
+  let unvisit t v =
+    if t.visited.(v) then begin
+      t.visited.(v) <- false;
+      t.n_visited <- t.n_visited - 1
+    end
+
+  let clean = [ { Faults.delay = 0; flip_bit = false } ]
+
+  let copies t ~edge msg =
+    bump t (fun h -> h.c_sends);
+    if t.supervised then t.last_msg.(edge) <- Some msg;
+    if t.faulty then Faults.Instance.on_send t.fi ~edge else clean
+
+  let offer t ~edge =
+    if t.churny then Churn.Instance.on_offer t.ci ~edge else Churn.Cross
+
+  let mark_churn t ~edge (fate : Churn.fate) =
+    match t.oh with
+    | None -> ()
+    | Some h -> (
+        let mark kind =
+          Obs.Timeline.instant h.oh_timeline ~track:0
+            (Printf.sprintf "churn.%s:%d" kind edge)
+        in
+        match fate with
+        | Churn.Removed left ->
+            mark "remove";
+            if left = 0 then mark "heal"
+        | Churn.Back `Heal -> mark "heal"
+        | Churn.Back `Add -> mark "add"
+        | Churn.Down | Churn.Cross -> ())
+
+  let lose t bits =
+    t.lost_state_bits <- t.lost_state_bits + bits;
+    match t.oh with
+    | Some h -> Obs.Registry.add h.c_lost_state_bits bits
+    | None -> ()
+
+  let arrive t ~vertex:v =
+    (not t.vfaulty)
+    ||
+    match Vfaults.Instance.on_deliver t.vfi ~vertex:v with
+    | Vfaults.Deliver -> true
+    | Vfaults.Stutter ->
+        bump t (fun h -> h.c_stuttered);
+        false
+    | Vfaults.Down_drop ->
+        (match t.oh with
+        | Some h ->
+            Obs.Registry.incr h.c_down_drops;
+            (* A restart fires on the down-drop that drains the vertex's
+               downtime; mirror the instance's count exactly (a vertex
+               still down at run end never restarted). *)
+            let nr = Vfaults.Instance.restarts t.vfi in
+            let seen = Obs.Registry.value h.c_restarts in
+            if nr > seen then Obs.Registry.add h.c_restarts (nr - seen)
+        | None -> ());
+        false
+    | Vfaults.Crash (recovery, _downtime) ->
+        bump t (fun h -> h.c_crashes);
+        let old_bits = P.state_bits t.states.(v) in
+        (match recovery with
+        | Vfaults.Stop ->
+            (* The corpse keeps its state; it is simply deaf.  Its visited
+               flag stands — it {e was} reached. *)
+            ()
+        | Vfaults.Amnesia when not t.supervised ->
+            lose t old_bits;
+            t.states.(v) <-
+              P.initial_state ~out_degree:(t.out_degree v)
+                ~in_degree:(t.in_degree v);
+            unvisit t v
+        (* With a supervisor armed its checkpoints are durable storage, so
+           even "full" state loss degrades to a restore: without this, an
+           amnesia crash after a vertex has forwarded its flow erases
+           coverage that no conservation argument can ever notice — the
+           terminal still collects flow 1 and falsely terminates. *)
+        | Vfaults.Amnesia | Vfaults.Restore ->
+            let restored = t.ckpt.(v) in
+            lose t (Stdlib.max 0 (old_bits - P.state_bits restored));
+            t.states.(v) <- restored;
+            if t.ckpt_visited.(v) then mark_visited t v else unvisit t v);
+        false
+
+  let corrupt t ~edge ~length_bits enc msg =
+    if length_bits = 0 then Some msg
+    else
+      let b = Faults.Instance.corrupt_bit t.fi ~edge ~length_bits in
+      let r = Bitio.Bit_reader.of_string ~length_bits (flip_bit enc b) in
+      match P.decode r with
+      | decoded ->
+          if not (P.equal_message decoded msg) then begin
+            t.corrupted <- t.corrupted + 1;
+            bump t (fun h -> h.c_corrupted)
+          end;
+          Some decoded
+      | exception Protocol_intf.Checksum_reject ->
+          t.checksum_rejects <- t.checksum_rejects + 1;
+          bump t (fun h -> h.c_checksum_rejects);
+          None
+      | exception _ ->
+          t.garbled <- t.garbled + 1;
+          bump t (fun h -> h.c_garbled);
+          None
+
+  let verify ~length_bits enc msg =
+    let r = Bitio.Bit_reader.of_string ~length_bits enc in
+    let decoded =
+      try P.decode r
+      with exn ->
+        raise
+          (Codec_mismatch
+             (Printf.sprintf "%s: decode raised %s" P.name
+                (Printexc.to_string exn)))
+    in
+    if not (P.equal_message decoded msg) then
+      raise
+        (Codec_mismatch
+           (Format.asprintf "%s: %a decoded as %a" P.name P.pp_message msg
+              P.pp_message decoded));
+    if not (Bitio.Bit_reader.at_end r) then
+      raise
+        (Codec_mismatch
+           (Printf.sprintf "%s: %d trailing bits after decode" P.name
+              (Bitio.Bit_reader.remaining r)))
+
+  (* Receive cost is measured only on sampled deliveries — two clock reads
+     per delivery would dominate the cheap protocols, and the histogram only
+     needs a time series, not a total. *)
+  let receive t ~vertex:v ~in_port ~timed msg =
+    let t0 =
+      match t.oh with
+      | Some h when timed -> Obs.Timeline.now h.oh_timeline
+      | _ -> 0.0
+    in
+    let ((st, _) as result) =
+      P.receive ~out_degree:(t.out_degree v) ~in_degree:(t.in_degree v)
+        t.states.(v) msg ~in_port
+    in
+    (match t.oh with
+    | Some h when timed ->
+        let ns = int_of_float ((Obs.Timeline.now h.oh_timeline -. t0) *. 1e9) in
+        Obs.Registry.add h.c_receive_ns ns;
+        Obs.Registry.observe h.h_receive_ns ns
+    | _ -> ());
+    t.states.(v) <- st;
+    let b = P.state_bits st in
+    if b > t.max_state_bits then t.max_state_bits <- b;
+    if t.need_ckpt then begin
+      t.vdeliv.(v) <- t.vdeliv.(v) + 1;
+      if t.vdeliv.(v) mod t.ckpt_cadence = 0 then begin
+        t.ckpt.(v) <- st;
+        t.ckpt_visited.(v) <- true;
+        t.checkpoints <- t.checkpoints + 1;
+        bump t (fun h -> h.c_checkpoints)
+      end
+    end;
+    result
+
+  let retransmit t ~source ~send =
+    match t.supervisor with
+    | Some cfg when t.retries_left > 0 ->
+        let sent = ref false in
+        Array.iteri
+          (fun e last ->
+            match last with
+            | Some msg when Vfaults.Instance.is_up t.vfi ~vertex:(source e) ->
+                let extra_delay =
+                  Supervisor.backoff cfg t.sup_prng ~round:t.sup_round
+                in
+                send ~extra_delay e msg;
+                t.replayed <- t.replayed + 1;
+                bump t (fun h -> h.c_replayed);
+                sent := true
+            | _ -> ())
+          t.last_msg;
+        t.sup_round <- t.sup_round + 1;
+        t.retries_left <- t.retries_left - 1;
+        !sent
+    | _ -> false
+
+  (* Edge-fault and churn counters only move when their plan is armed, so
+     the instances of an empty plan report the all-zero stats. *)
+  let finish t =
+    let fault_stats =
+      {
+        dropped_copies = Faults.Instance.dropped_copies t.fi;
+        extra_copies = Faults.Instance.extra_copies t.fi;
+        delayed_copies = Faults.Instance.delayed_copies t.fi;
+        corrupted_deliveries = t.corrupted;
+        garbled_drops = t.garbled;
+        checksum_rejects = t.checksum_rejects;
+        dead_edges = Faults.Instance.dead_edges t.fi;
+      }
+    in
+    let vfault_stats =
+      {
+        crashes = Vfaults.Instance.crashes t.vfi;
+        restarts = Vfaults.Instance.restarts t.vfi;
+        lost_state_bits = t.lost_state_bits;
+        down_drops = Vfaults.Instance.down_drops t.vfi;
+        stuttered = Vfaults.Instance.stuttered t.vfi;
+        stopped_vertices = Vfaults.Instance.stopped t.vfi;
+        checkpoints = t.checkpoints;
+        replayed = t.replayed;
+      }
+    in
+    let churn_stats =
+      {
+        adds = Churn.Instance.adds t.ci;
+        removes = Churn.Instance.removes t.ci;
+        heals = Churn.Instance.heals t.ci;
+        messages_lost_in_flight = Churn.Instance.lost t.ci;
+        window_violations = Churn.Instance.window_violations t.ci;
+      }
+    in
+    (match t.oh with
+    | Some h ->
+        (* The per-edge draws live in the instances; folding their
+           end-of-run totals into cumulative counters keeps the registry
+           reconciled with the stats across any number of runs sharing one
+           sink. *)
+        Obs.Registry.add h.c_dropped fault_stats.dropped_copies;
+        Obs.Registry.add h.c_extra fault_stats.extra_copies;
+        Obs.Registry.add h.c_delayed fault_stats.delayed_copies;
+        Obs.Registry.add h.c_churn_adds churn_stats.adds;
+        Obs.Registry.add h.c_churn_removes churn_stats.removes;
+        Obs.Registry.add h.c_churn_heals churn_stats.heals;
+        Obs.Registry.add h.c_churn_lost churn_stats.messages_lost_in_flight;
+        Obs.Registry.add h.c_churn_violations churn_stats.window_violations
+    | None -> ());
+    (fault_stats, vfault_stats, churn_stats)
+end
+
 module Make (P : Protocol_intf.PROTOCOL) = struct
   type state = P.state
   type message = P.message
+
+  module Fate = Fate (P)
 
   type flight = {
     seq : int;
@@ -173,114 +691,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     tp : int;
     edge : int;
     corrupt : bool;
-    (* Causal provenance, carried by every copy: the lineage node id of
-       the receive that caused this send (0 = root emission or
-       supervisor retransmission) and this copy's causal depth (parent
-       depth + 1; root copies have depth 1). *)
+    (* Causal provenance: the lineage node id of the receive that caused
+       this send (0 = root emission or supervisor retransmission). *)
     lp : int;
-    ld : int;
     msg : P.message;
   }
-
-  (* In-flight message pool, specialized per scheduling policy.  Returns
-     (push, pop, drain): [drain] empties the pool and returns whatever was
-     still held, so the engine can report undelivered messages at the end of
-     a run (conservation-law checks need the full cut). *)
-  let make_pool scheduler =
-    match (scheduler : Scheduler.t) with
-    | Fifo ->
-        let q = Queue.create () in
-        ( (fun f -> Queue.add f q),
-          (fun () -> Queue.take_opt q),
-          fun () ->
-            let l = List.of_seq (Queue.to_seq q) in
-            Queue.clear q;
-            l )
-    | Lifo ->
-        let st = ref [] in
-        ( (fun f -> st := f :: !st),
-          (fun () ->
-            match !st with
-            | [] -> None
-            | f :: rest ->
-                st := rest;
-                Some f),
-          fun () ->
-            let l = !st in
-            st := [];
-            l )
-    | Random g ->
-        let arr = ref [||] and len = ref 0 in
-        let push f =
-          if !len = Array.length !arr then begin
-            let cap = Stdlib.max 16 (2 * !len) in
-            let bigger = Array.make cap f in
-            Array.blit !arr 0 bigger 0 !len;
-            arr := bigger
-          end;
-          !arr.(!len) <- f;
-          incr len
-        in
-        let pop () =
-          if !len = 0 then None
-          else begin
-            let i = Prng.int g !len in
-            let f = !arr.(i) in
-            decr len;
-            !arr.(i) <- !arr.(!len);
-            Some f
-          end
-        in
-        let drain () =
-          let l = Array.to_list (Array.sub !arr 0 !len) in
-          len := 0;
-          l
-        in
-        (push, pop, drain)
-    | Edge_priority prio ->
-        (* Binary min-heap on (priority, seq). *)
-        let h = Binheap.create () in
-        let pop () = Option.map snd (Binheap.pop h) in
-        let rec drain acc =
-          match pop () with None -> List.rev acc | Some f -> drain (f :: acc)
-        in
-        ((fun f -> Binheap.push h (prio f.edge, f.seq) f), pop, fun () -> drain [])
-    | Replay order ->
-        (* Deliver exactly the listed seq numbers, in order.  A listed seq
-           that is not yet in flight makes the pool report empty {e without}
-           consuming it: the engine's idle path then releases delay-held
-           copies and fires supervisor retransmissions — the only sources
-           that can still produce it — and retries.  With a faithfully
-           recorded schedule the head always appears; if it never does (an
-           unfaithful schedule) the run stops where the schedule left it. *)
-        let pool : (int, flight) Hashtbl.t = Hashtbl.create 32 in
-        let remaining = ref order in
-        let push f = Hashtbl.replace pool f.seq f in
-        let pop () =
-          match !remaining with
-          | [] -> None
-          | s :: rest -> (
-              match Hashtbl.find_opt pool s with
-              | Some f ->
-                  remaining := rest;
-                  Hashtbl.remove pool s;
-                  Some f
-              | None -> None)
-        in
-        let drain () =
-          let l = Hashtbl.fold (fun _ f acc -> f :: acc) pool [] in
-          Hashtbl.reset pool;
-          List.sort (fun a b -> compare a.seq b.seq) l
-        in
-        (push, pop, drain)
-
-  (* Flip stream-bit [b] of the MSB-first packing produced by Bit_writer. *)
-  let flip_bit s b =
-    let bytes = Bytes.of_string s in
-    let i = b / 8 in
-    Bytes.set bytes i
-      (Char.chr (Char.code (Bytes.get bytes i) lxor (1 lsl (7 - (b mod 8)))));
-    Bytes.to_string bytes
 
   let run ?(scheduler = Scheduler.Fifo) ?(payload_bits = 0)
       ?(step_limit = 10_000_000) ?(faults = Faults.none)
@@ -292,110 +707,57 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
        (undelivered copies stay counted in [final_in_flight] and reach
        [on_undelivered], exactly as under [Step_limit]). *)
     let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
-    let oh = Option.map (fun o -> obs_hooks o) obs in
-    let gc0 =
-      match obs with
-      | Some _ -> Some (Gc.quick_stat (), Gc.minor_words ())
-      | None -> None
-    in
+    let oh = Option.map obs_hooks obs in
+    let gc0 = gc_start obs in
     let n = Digraph.n_vertices g in
     let ne = Digraph.n_edges g in
-    (match lineage with
-    | Some l -> Obs.Lineage.bind l ~n_vertices:n ~n_edges:ne
-    | None -> ());
-    (* Causal context for [send]: the lineage node id and depth of the
-       receive whose sends are currently being injected.  (0, 0) outside
-       a receive — root emissions and supervisor retransmissions start
-       fresh chains. *)
+    let journal = journal lineage ~n_vertices:n ~n_edges:ne in
+    (* Causal context for [send]: the lineage node id of the receive whose
+       sends are currently being injected.  0 outside a receive — root
+       emissions and supervisor retransmissions start fresh chains. *)
     let lin_parent = ref 0 in
-    let lin_depth = ref 0 in
-    (* Pop journal: one packed [edge lor (parent lsl journal_shift)]
-       slot per consumed copy, handed to the recorder wholesale at run
-       end and replayed into its aggregates on first query — the run
-       itself pays one store per delivery.  Depths reconstruct exactly
-       because [ld] is always parent depth + 1 with retransmissions
-       restarting at parent 0. *)
-    let lin_on = lineage <> None in
-    let lin_j = ref (if lin_on then Array.make 1024 0 else [||]) in
-    let lin_n = ref 0 in
     let t = Digraph.terminal g in
-    (* Dense edge -> (target vertex, target in-port), filled by walking the
-       in-adjacency: [in_origin] and [edge_index] are O(1), so the table
-       costs O(n + m) — not the O(m * in_degree) port search of
+    (* Dense edge -> target vertex and target in-port, filled by walking
+       the in-adjacency: [in_origin] and [edge_index] are O(1), so the
+       tables cost O(n + m) — not the O(m * in_degree) port search of
        [out_port_target_port]. *)
-    let target = Array.make (Stdlib.max ne 1) (0, 0) in
+    let head = Array.make (Stdlib.max ne 1) 0 in
+    let tport = Array.make (Stdlib.max ne 1) 0 in
     for v = 0 to n - 1 do
       for i = 0 to Digraph.in_degree g v - 1 do
         let u, j = Digraph.in_origin g v i in
-        target.(Digraph.edge_index g u j) <- (v, i)
+        let e = Digraph.edge_index g u j in
+        head.(e) <- v;
+        tport.(e) <- i
       done
     done;
-    let states =
-      Array.init n (fun v ->
-          P.initial_state ~out_degree:(Digraph.out_degree g v)
-            ~in_degree:(Digraph.in_degree g v))
+    let fate =
+      Fate.start ~oh ~faults ~vfaults ~churn ~supervisor ~n_vertices:n
+        ~n_edges:ne ~out_degree:(Digraph.out_degree g)
+        ~in_degree:(Digraph.in_degree g)
     in
-    let initial_of v =
-      P.initial_state ~out_degree:(Digraph.out_degree g v)
-        ~in_degree:(Digraph.in_degree g v)
-    in
-    let visited = Array.make n false in
+    let states = Fate.states fate in
     let edge_messages = Array.make (Stdlib.max ne 1) 0 in
     let edge_bits = Array.make (Stdlib.max ne 1) 0 in
     let total_bits = ref 0 in
     let max_message_bits = ref 0 in
     let deliveries = ref 0 in
-    let corrupted_deliveries = ref 0 in
-    let garbled_drops = ref 0 in
-    let checksum_rejects = ref 0 in
     let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
-    let push, pop, drain = make_pool scheduler in
-    let faulty = not (Faults.is_none faults) in
-    let fi = Faults.Instance.start faults in
-    let vfaulty = not (Vfaults.is_none vfaults) in
-    let vfi = Vfaults.Instance.start vfaults in
-    let churny = not (Churn.is_none churn) in
-    let ci = Churn.Instance.start churn in
-    let supervised = supervisor <> None in
-    (* Checkpoints: one state snapshot per vertex (initially pi0), plus the
-       visited flag as of the snapshot.  States are immutable values, so
-       the arrays share structure with [states] rather than copying. *)
-    let need_ckpt = vfaulty || supervised in
-    let ckpt = if need_ckpt then Array.copy states else [||] in
-    let ckpt_visited = if need_ckpt then Array.make n false else [||] in
-    let ckpt_cadence =
-      match supervisor with
-      | Some (c : Supervisor.config) -> c.checkpoint_every
-      | None -> 1
+    let push, pop, drain =
+      pool scheduler ~seq:(fun f -> f.seq) ~edge:(fun f -> f.edge)
     in
-    let vdeliv = Array.make (if need_ckpt then n else 0) 0 in
-    let lost_state_bits = ref 0 in
-    let checkpoints = ref 0 in
-    let replayed = ref 0 in
     (* Copies held back by a delay fault, keyed by (release step, seq); they
        still count as in flight. *)
-    let delayed : ((int * int), flight) Binheap.t = Binheap.create () in
+    let delayed : (int * int, flight) Binheap.t = Binheap.create () in
     let next_seq = ref 0 in
-    let max_state_bits = ref 0 in
     let in_flight = ref 0 in
     let max_in_flight = ref 0 in
-    let n_visited = ref 0 in
-    let mark_visited v =
-      if not visited.(v) then begin
-        visited.(v) <- true;
-        incr n_visited
-      end
-    in
     (* Copies that ever entered flight; [entered - deliveries - in_flight]
        is the engine's message-conservation residual, sampled as the
        [engine.cut_residual] series (always 0 unless the accounting is
        broken — a live self-check, not a tautology for readers of the
        trace). *)
     let entered = ref 0 in
-    let note_state st =
-      let b = P.state_bits st in
-      if b > !max_state_bits then max_state_bits := b
-    in
     let enter f ~delay =
       incr in_flight;
       incr entered;
@@ -409,89 +771,33 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       ref (match oh with Some h -> h.oh_sample_every | None -> max_int)
     in
     let time_receive = ref false in
-    let obs_sample () =
-      match oh with
-      | None -> ()
-      | Some h ->
-          let tl = h.oh_timeline and track = 0 in
-          Obs.Registry.set h.g_in_flight !in_flight;
-          Obs.Registry.set h.g_wavefront !n_visited;
-          let residual = !entered - !deliveries - !in_flight in
-          Obs.Registry.set h.g_residual residual;
-          Obs.Timeline.sample tl ~track "engine.in_flight" (float_of_int !in_flight);
-          Obs.Timeline.sample tl ~track "engine.wavefront" (float_of_int !n_visited);
-          Obs.Timeline.sample tl ~track "engine.cut_residual" (float_of_int residual);
-          Obs.Timeline.sample tl ~track "engine.deliveries" (float_of_int !deliveries);
-          Obs.Timeline.sample tl ~track "engine.total_bits" (float_of_int !total_bits)
+    let obs_sample h =
+      sample_obs h ~in_flight:!in_flight ~n_visited:(Fate.n_visited fate)
+        ~residual:(!entered - !deliveries - !in_flight)
+        ~deliveries:!deliveries ~total_bits:!total_bits
     in
-    (* Supervisor retransmission state: the last message emitted on each
-       dense edge (the only thing a feedback-free repeater can re-send),
-       plus the edge's source endpoint for re-injection. *)
-    let last_msg : P.message option array =
-      Array.make (if supervised then Stdlib.max ne 1 else 1) None
-    in
-    let source_of = Array.make (if supervised then Stdlib.max ne 1 else 1) (0, 0) in
-    if supervised then
-      for u = 0 to n - 1 do
-        Digraph.iter_out g u (fun j _ ->
-            source_of.(Digraph.edge_index g u j) <- (u, j))
-      done;
-    let sup_prng =
-      Prng.create (match supervisor with Some (c : Supervisor.config) -> c.seed | None -> 0)
-    in
-    let retries_left =
-      ref (match supervisor with Some (c : Supervisor.config) -> c.max_retries | None -> 0)
-    in
-    let sup_round = ref 0 in
     let send ?(extra_delay = 0) fv fp msg =
       let edge = Digraph.edge_index g fv fp in
-      let tv, tp = target.(edge) in
-      (match oh with Some h -> Obs.Registry.incr h.c_sends | None -> ());
-      if supervised then last_msg.(edge) <- Some msg;
-      let lp = !lin_parent and ld = !lin_depth + 1 in
-      if not faulty then begin
-        enter
-          { seq = !next_seq; fv; fp; tv; tp; edge; corrupt = false; lp; ld; msg }
-          ~delay:extra_delay;
-        incr next_seq
-      end
-      else
-        List.iter
-          (fun ({ delay; flip_bit = corrupt } : Faults.copy_fate) ->
-            enter
-              { seq = !next_seq; fv; fp; tv; tp; edge; corrupt; lp; ld; msg }
-              ~delay:(delay + extra_delay);
-            incr next_seq)
-          (Faults.Instance.on_send fi ~edge)
+      let tv = head.(edge) and tp = tport.(edge) and lp = !lin_parent in
+      List.iter
+        (fun ({ delay; flip_bit = corrupt } : Faults.copy_fate) ->
+          enter
+            { seq = !next_seq; fv; fp; tv; tp; edge; corrupt; lp; msg }
+            ~delay:(delay + extra_delay);
+          incr next_seq)
+        (Fate.copies fate ~edge msg)
     in
     (* One retransmission round: re-send the last message of every edge
        whose source is still healthy, held back by the round's backoff.
        Retransmitted copies run the same per-edge fault gauntlet as
        originals, and a {!Redundant}-wrapped receiver dedups them by wire
-       encoding.  Returns whether anything was actually re-injected. *)
+       encoding. *)
     let retransmit () =
-      match supervisor with
-      | None -> false
-      | Some (cfg : Supervisor.config) ->
-          (* Retransmissions start fresh causal chains: nothing "caused"
-             them but the supervisor's clock. *)
-          lin_parent := 0;
-          lin_depth := 0;
-          let sent = ref false in
-          for e = 0 to ne - 1 do
-            match last_msg.(e) with
-            | Some msg when Vfaults.Instance.is_up vfi ~vertex:(fst source_of.(e)) ->
-                let fv, fp = source_of.(e) in
-                let extra_delay = Supervisor.backoff cfg sup_prng ~round:!sup_round in
-                send ~extra_delay fv fp msg;
-                incr replayed;
-                (match oh with Some h -> Obs.Registry.incr h.c_replayed | None -> ());
-                sent := true
-            | _ -> ()
-          done;
-          incr sup_round;
-          decr retries_left;
-          !sent
+      Fate.retransmit fate
+        ~source:(fun e -> fst (Digraph.edge_of_index g e))
+        ~send:(fun ~extra_delay e msg ->
+          let fv, fp = Digraph.edge_of_index g e in
+          send ~extra_delay fv fp msg)
     in
     (* Move every delay-expired copy back into the scheduler's pool. *)
     let release_due () =
@@ -512,7 +818,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     List.iter
       (fun (j, msg) -> send (Digraph.source g) j msg)
       (P.root_emit ~out_degree:(Digraph.out_degree g (Digraph.source g)));
-    mark_visited (Digraph.source g);
+    Fate.mark_visited fate (Digraph.source g);
     let outcome = ref Quiescent in
     let running = ref true in
     while !running do
@@ -541,7 +847,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                   outcome := Terminated;
                   running := false
                 end
-                else if !retries_left > 0 && retransmit () then ()
+                else if retransmit () then ()
                 else begin
                   outcome := Quiescent;
                   running := false
@@ -552,16 +858,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
             (* Every consumed copy gets a journal slot — including copies
                a churn-absent edge or a down vertex swallows — so the
                node count reconciles exactly with [report.deliveries]. *)
-            if lin_on then begin
-              if !lin_n = Array.length !lin_j then begin
-                let bigger = Array.make (2 * !lin_n) 0 in
-                Array.blit !lin_j 0 bigger 0 !lin_n;
-                lin_j := bigger
-              end;
-              Array.unsafe_set !lin_j !lin_n
-                (f.edge lor (f.lp lsl Obs.Lineage.journal_shift));
-              incr lin_n
-            end;
+            journal_pop journal ~edge:f.edge ~parent:f.lp;
             (* [on_pop] sees every consumed copy — including copies a down
                vertex swallows or a garble destroys — because a faithful
                replay schedule must re-deliver exactly those seqs to keep
@@ -572,252 +869,90 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                replay-schedule slot, so [on_pop] already saw it) but never
                crossed the channel — no bits are charged to the edge, no
                symbol is recorded, and the vertex fates never fire. *)
-            let cfate =
-              if churny then Churn.Instance.on_offer ci ~edge:f.edge
-              else Churn.Cross
-            in
-            if cfate <> Churn.Cross then begin
-              match oh with
-              | None -> ()
-              | Some h ->
-                  Obs.Registry.incr h.c_deliveries;
-                  decr until_sample;
-                  if !until_sample <= 0 then begin
-                    until_sample := h.oh_sample_every;
-                    obs_sample ()
-                  end;
-                  let tl = h.oh_timeline and track = 0 in
-                  let mark kind =
-                    Obs.Timeline.instant tl ~track
-                      (Printf.sprintf "churn.%s:%d" kind f.edge)
-                  in
-                  (match cfate with
-                  | Churn.Removed left ->
-                      mark "remove";
-                      if left = 0 then mark "heal"
-                  | Churn.Back `Heal -> mark "heal"
-                  | Churn.Back `Add -> mark "add"
-                  | Churn.Down | Churn.Cross -> ())
-            end
-            else begin
-            (* Charge the exact wire size. *)
-            let w = Bitio.Bit_writer.create () in
-            P.encode w f.msg;
-            let bits = Bitio.Bit_writer.length w + payload_bits in
-            (match oh with
-            | Some h ->
-                Obs.Registry.incr h.c_deliveries;
-                Obs.Registry.add h.c_bits bits;
-                Obs.Registry.observe h.h_message_bits bits;
-                decr until_sample;
-                if !until_sample <= 0 then begin
-                  until_sample := h.oh_sample_every;
-                  time_receive := true;
-                  obs_sample ()
-                end
-            | None -> ());
-            if verify_codec then begin
-              let r =
-                Bitio.Bit_reader.of_string
-                  ~length_bits:(Bitio.Bit_writer.length w)
-                  (Bitio.Bit_writer.to_string w)
-              in
-              let decoded =
-                try P.decode r
-                with exn ->
-                  raise
-                    (Codec_mismatch
-                       (Printf.sprintf "%s: decode raised %s" P.name
-                          (Printexc.to_string exn)))
-              in
-              if not (P.equal_message decoded f.msg) then
-                raise
-                  (Codec_mismatch
-                     (Format.asprintf "%s: %a decoded as %a" P.name P.pp_message
-                        f.msg P.pp_message decoded));
-              if not (Bitio.Bit_reader.at_end r) then
-                raise
-                  (Codec_mismatch
-                     (Printf.sprintf "%s: %d trailing bits after decode" P.name
-                        (Bitio.Bit_reader.remaining r)))
-            end;
-            let key =
-              string_of_int (Bitio.Bit_writer.length w)
-              ^ ":"
-              ^ Bitio.Bit_writer.to_string w
-            in
-            if not (Hashtbl.mem seen key) then Hashtbl.add seen key ();
-            total_bits := !total_bits + bits;
-            edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
-            edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
-            if bits > !max_message_bits then max_message_bits := bits;
-            (* The vertex-fault fate is decided before decode: a delivery
-               consumed by a down, stuttering or crashing vertex is charged
-               to the edge (it did cross the channel) but never reaches
-               [P.receive] — and skips the corrupt-bit draw, since nobody
-               observes the flipped encoding. *)
-            let vfate =
-              if vfaulty then Vfaults.Instance.on_deliver vfi ~vertex:f.tv
-              else Vfaults.Deliver
-            in
-            match vfate with
-            | Vfaults.Stutter ->
-                (match oh with
-                | Some h -> Obs.Registry.incr h.c_stuttered
-                | None -> ())
-            | Vfaults.Down_drop ->
+            match Fate.offer fate ~edge:f.edge with
+            | Churn.Cross ->
+                (* Charge the exact wire size. *)
+                let w = Bitio.Bit_writer.create () in
+                P.encode w f.msg;
+                let length_bits = Bitio.Bit_writer.length w in
+                let bits = length_bits + payload_bits in
                 (match oh with
                 | Some h ->
-                    Obs.Registry.incr h.c_down_drops;
-                    (* A restart fires on the down-drop that drains the
-                       vertex's downtime; mirror the instance's count
-                       exactly (a vertex still down at run end never
-                       restarted). *)
-                    let nr = Vfaults.Instance.restarts vfi in
-                    let seen = Obs.Registry.value h.c_restarts in
-                    if nr > seen then Obs.Registry.add h.c_restarts (nr - seen)
-                | None -> ())
-            | Vfaults.Crash (recovery, _downtime) -> (
-                (match oh with
-                | Some h -> Obs.Registry.incr h.c_crashes
-                | None -> ());
-                let old_bits = P.state_bits states.(f.tv) in
-                match recovery with
-                | Vfaults.Stop ->
-                    (* The corpse keeps its state; it is simply deaf.  Its
-                       visited flag stands — it {e was} reached. *)
-                    ()
-                | Vfaults.Amnesia when not supervised ->
-                    lost_state_bits := !lost_state_bits + old_bits;
-                    (match oh with
-                    | Some h -> Obs.Registry.add h.c_lost_state_bits old_bits
-                    | None -> ());
-                    states.(f.tv) <- initial_of f.tv;
-                    if visited.(f.tv) then begin
-                      visited.(f.tv) <- false;
-                      decr n_visited
+                    Obs.Registry.incr h.c_deliveries;
+                    Obs.Registry.add h.c_bits bits;
+                    Obs.Registry.observe h.h_message_bits bits;
+                    decr until_sample;
+                    if !until_sample <= 0 then begin
+                      until_sample := h.oh_sample_every;
+                      time_receive := true;
+                      obs_sample h
                     end
-                (* With a supervisor armed its checkpoints are durable
-                   storage, so even "full" state loss degrades to a
-                   restore: without this, an amnesia crash after a vertex
-                   has forwarded its flow erases coverage that no
-                   conservation argument can ever notice — the terminal
-                   still collects flow 1 and falsely terminates. *)
-                | Vfaults.Amnesia | Vfaults.Restore ->
-                    let restored = ckpt.(f.tv) in
-                    let lost = Stdlib.max 0 (old_bits - P.state_bits restored) in
-                    lost_state_bits := !lost_state_bits + lost;
-                    (match oh with
-                    | Some h -> Obs.Registry.add h.c_lost_state_bits lost
-                    | None -> ());
-                    states.(f.tv) <- restored;
-                    if ckpt_visited.(f.tv) then mark_visited f.tv
-                    else if visited.(f.tv) then begin
-                      visited.(f.tv) <- false;
-                      decr n_visited
-                    end)
-            | Vfaults.Deliver -> (
-            (* A corrupted copy flows through the real decode path: what the
-               vertex processes is whatever the flipped encoding decodes to,
-               a checksum-bearing codec rejects the flip outright, and an
-               unparseable encoding is consumed undelivered. *)
-            let delivered =
-              if not f.corrupt then Some f.msg
-              else
-                let len = Bitio.Bit_writer.length w in
-                if len = 0 then Some f.msg
-                else begin
-                  let b = Faults.Instance.corrupt_bit fi ~edge:f.edge ~length_bits:len in
-                  let s = flip_bit (Bitio.Bit_writer.to_string w) b in
-                  let r = Bitio.Bit_reader.of_string ~length_bits:len s in
-                  match P.decode r with
-                  | decoded ->
-                      if not (P.equal_message decoded f.msg) then begin
-                        incr corrupted_deliveries;
-                        match oh with
-                        | Some h -> Obs.Registry.incr h.c_corrupted
-                        | None -> ()
-                      end;
-                      Some decoded
-                  | exception Protocol_intf.Checksum_reject ->
-                      incr checksum_rejects;
-                      (match oh with
-                      | Some h -> Obs.Registry.incr h.c_checksum_rejects
-                      | None -> ());
-                      None
-                  | exception _ ->
-                      incr garbled_drops;
-                      (match oh with
-                      | Some h -> Obs.Registry.incr h.c_garbled
-                      | None -> ());
-                      None
-                end
-            in
-            match delivered with
-            | None -> ()
-            | Some msg ->
-                (match on_deliver with
-                | Some hook ->
-                    hook
-                      {
-                        step = !deliveries;
-                        seq = f.seq;
-                        from_vertex = f.fv;
-                        from_port = f.fp;
-                        to_vertex = f.tv;
-                        to_port = f.tp;
-                        bits;
-                      }
-                      msg
                 | None -> ());
-                mark_visited f.tv;
-                (* Receive cost is measured only on sampled deliveries —
-                   two clock reads per delivery would dominate the cheap
-                   protocols, and the histogram only needs a time series,
-                   not a total. *)
-                let t0 =
-                  match oh with
-                  | Some h when !time_receive -> Obs.Timeline.now h.oh_timeline
-                  | _ -> 0.0
+                if verify_codec then
+                  Fate.verify ~length_bits (Bitio.Bit_writer.to_string w) f.msg;
+                let key =
+                  string_of_int length_bits ^ ":" ^ Bitio.Bit_writer.to_string w
                 in
-                let state', sends =
-                  P.receive
-                    ~out_degree:(Digraph.out_degree g f.tv)
-                    ~in_degree:(Digraph.in_degree g f.tv)
-                    states.(f.tv) msg ~in_port:f.tp
-                in
-                (match oh with
-                | Some h when !time_receive ->
-                    time_receive := false;
-                    let ns =
-                      int_of_float ((Obs.Timeline.now h.oh_timeline -. t0) *. 1e9)
-                    in
-                    Obs.Registry.add h.c_receive_ns ns;
-                    Obs.Registry.observe h.h_receive_ns ns
-                | _ -> ());
-                states.(f.tv) <- state';
-                note_state state';
-                if need_ckpt then begin
-                  vdeliv.(f.tv) <- vdeliv.(f.tv) + 1;
-                  if vdeliv.(f.tv) mod ckpt_cadence = 0 then begin
-                    ckpt.(f.tv) <- state';
-                    ckpt_visited.(f.tv) <- true;
-                    incr checkpoints;
-                    match oh with
-                    | Some h -> Obs.Registry.incr h.c_checkpoints
-                    | None -> ()
-                  end
-                end;
-                lin_parent := !deliveries;
-                lin_depth := f.ld;
-                List.iter (fun (j, msg) -> send f.tv j msg) sends;
-                lin_parent := 0;
-                lin_depth := 0;
-                if f.tv = t && P.accepting state' then begin
-                  outcome := Terminated;
-                  running := false
-                end)
-            end)
+                if not (Hashtbl.mem seen key) then Hashtbl.add seen key ();
+                total_bits := !total_bits + bits;
+                edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
+                edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
+                if bits > !max_message_bits then max_message_bits := bits;
+                (* The vertex-fault fate is decided before decode: a
+                   delivery consumed by a down, stuttering or crashing
+                   vertex is charged to the edge (it did cross the channel)
+                   but never reaches [P.receive] — and skips the corrupt-bit
+                   draw, since nobody observes the flipped encoding.  A
+                   corrupted copy flows through the real decode path. *)
+                if Fate.arrive fate ~vertex:f.tv then begin
+                  let delivered =
+                    if not f.corrupt then Some f.msg
+                    else
+                      Fate.corrupt fate ~edge:f.edge ~length_bits
+                        (Bitio.Bit_writer.to_string w) f.msg
+                  in
+                  match delivered with
+                  | None -> ()
+                  | Some msg ->
+                      (match on_deliver with
+                      | Some hook ->
+                          hook
+                            {
+                              step = !deliveries;
+                              seq = f.seq;
+                              from_vertex = f.fv;
+                              from_port = f.fp;
+                              to_vertex = f.tv;
+                              to_port = f.tp;
+                              bits;
+                            }
+                            msg
+                      | None -> ());
+                      Fate.mark_visited fate f.tv;
+                      let state', sends =
+                        Fate.receive fate ~vertex:f.tv ~in_port:f.tp
+                          ~timed:!time_receive msg
+                      in
+                      time_receive := false;
+                      lin_parent := !deliveries;
+                      List.iter (fun (j, msg) -> send f.tv j msg) sends;
+                      lin_parent := 0;
+                      if f.tv = t && P.accepting state' then begin
+                        outcome := Terminated;
+                        running := false
+                      end
+                end
+            | cfate -> (
+                match oh with
+                | None -> ()
+                | Some h ->
+                    Obs.Registry.incr h.c_deliveries;
+                    decr until_sample;
+                    if !until_sample <= 0 then begin
+                      until_sample := h.oh_sample_every;
+                      obs_sample h
+                    end;
+                    Fate.mark_churn fate ~edge:f.edge cfate))
       end
     done;
     (* Surface what never got delivered — the in-flight part of the final
@@ -832,111 +967,27 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
           | Some (_, f) -> hook f.msg
           | None -> continue := false
         done);
-    (match lineage with
-    | Some l ->
-        Obs.Lineage.note_journal l ~packed:!lin_j
-          ~heads:(Array.map fst target) ~count:!lin_n ~track:0
-    | None -> ());
+    journal_close journal ~heads:head;
+    let fault_stats, vfault_stats, churn_stats = Fate.finish fate in
     (match oh with
     | Some h ->
-        obs_sample ();
-        if faulty then begin
-          (* The per-edge fault draws live in the Faults instance; folding
-             its end-of-run totals into cumulative counters keeps the
-             registry reconciled with [fault_stats] across any number of
-             runs sharing one sink. *)
-          Obs.Registry.add h.c_dropped (Faults.Instance.dropped_copies fi);
-          Obs.Registry.add h.c_extra (Faults.Instance.extra_copies fi);
-          Obs.Registry.add h.c_delayed (Faults.Instance.delayed_copies fi)
-        end;
-        if churny then begin
-          (* Same folding discipline as the edge-fault counters: the churn
-             instance is the source of truth, so [engine.churn.*] reconciles
-             exactly with [churn_stats] across runs sharing one sink. *)
-          Obs.Registry.add h.c_churn_adds (Churn.Instance.adds ci);
-          Obs.Registry.add h.c_churn_removes (Churn.Instance.removes ci);
-          Obs.Registry.add h.c_churn_heals (Churn.Instance.heals ci);
-          Obs.Registry.add h.c_churn_lost (Churn.Instance.lost ci);
-          Obs.Registry.add h.c_churn_violations
-            (Churn.Instance.window_violations ci)
-        end;
+        obs_sample h;
         Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
-    (match (obs, gc0) with
-    | Some o, Some (g0, mw0) ->
-        (* GC cost of the run, as gauges: words are deltas (what this run
-           allocated), heap size is the absolute end-of-run footprint. *)
-        let g1 = Gc.quick_stat () in
-        let set name v =
-          Obs.Registry.set (Obs.Registry.gauge o.Obs.registry name) v
-        in
-        set "engine.gc.minor_words" (int_of_float (Gc.minor_words () -. mw0));
-        set "engine.gc.major_words"
-          (int_of_float (g1.Gc.major_words -. g0.Gc.major_words));
-        set "engine.gc.heap_words" g1.Gc.heap_words;
-        set "engine.gc.compactions" (g1.Gc.compactions - g0.Gc.compactions);
-        (* Mirror the timeline ring's overwrite count into the registry
-           (same folding discipline as [c_restarts]: the timeline is the
-           source of truth, the counter tracks it monotonically). *)
-        let c = Obs.Registry.counter o.Obs.registry "timeline.dropped" in
-        let d = Obs.Timeline.dropped o.Obs.timeline in
-        let seen = Obs.Registry.value c in
-        if d > seen then Obs.Registry.add c (d - seen)
-    | _ -> ());
-    let fault_stats =
-      if not faulty then
-        { no_faults_stats with
-          corrupted_deliveries = !corrupted_deliveries;
-          garbled_drops = !garbled_drops;
-          checksum_rejects = !checksum_rejects;
-        }
-      else
-        {
-          dropped_copies = Faults.Instance.dropped_copies fi;
-          extra_copies = Faults.Instance.extra_copies fi;
-          delayed_copies = Faults.Instance.delayed_copies fi;
-          corrupted_deliveries = !corrupted_deliveries;
-          garbled_drops = !garbled_drops;
-          checksum_rejects = !checksum_rejects;
-          dead_edges = Faults.Instance.dead_edges fi;
-        }
-    in
-    let vfault_stats =
-      {
-        crashes = Vfaults.Instance.crashes vfi;
-        restarts = Vfaults.Instance.restarts vfi;
-        lost_state_bits = !lost_state_bits;
-        down_drops = Vfaults.Instance.down_drops vfi;
-        stuttered = Vfaults.Instance.stuttered vfi;
-        stopped_vertices = Vfaults.Instance.stopped vfi;
-        checkpoints = !checkpoints;
-        replayed = !replayed;
-      }
-    in
-    let churn_stats =
-      if not churny then no_churn_stats
-      else
-        {
-          adds = Churn.Instance.adds ci;
-          removes = Churn.Instance.removes ci;
-          heals = Churn.Instance.heals ci;
-          messages_lost_in_flight = Churn.Instance.lost ci;
-          window_violations = Churn.Instance.window_violations ci;
-        }
-    in
+    gc_finish obs gc0;
     {
       outcome = !outcome;
       deliveries = !deliveries;
       total_bits = !total_bits;
       max_edge_bits = Array.fold_left Stdlib.max 0 edge_bits;
       max_message_bits = !max_message_bits;
-      max_state_bits = !max_state_bits;
+      max_state_bits = Fate.max_state_bits fate;
       max_in_flight = !max_in_flight;
       final_in_flight = !in_flight;
       distinct_messages = Hashtbl.length seen;
       edge_messages;
       edge_bits;
-      visited;
+      visited = Fate.visited fate;
       states;
       fault_stats;
       vfault_stats;

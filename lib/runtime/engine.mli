@@ -183,6 +183,122 @@ val obs_hooks : Obs.t -> obs_hooks
 (** Resolve (registering on first use) every cell against the sink's
     registry. *)
 
+(** {1 Code shared by both engines}
+
+    Everything a run does that is independent of how an engine lays out
+    the graph and the copies in flight.  {!Make} and [Flatcore.Engine]
+    both call it, so each scheduling policy, fate rule, fault counter and
+    telemetry series is written once. *)
+
+val pool :
+  Scheduler.t ->
+  seq:('f -> int) ->
+  edge:('f -> int) ->
+  ('f -> unit) * (unit -> 'f option) * (unit -> 'f list)
+(** [(push, pop, drain)] of a policy's in-flight pool, over any flight
+    type: [seq] reads a copy's global send number, [edge] its dense edge.
+    [drain] empties the pool and returns what it held.  Under [Replay], a
+    listed seq not yet in flight makes [pop] report empty without
+    consuming it, so the engine can release delayed copies or retransmit
+    and retry. *)
+
+val sample_obs :
+  obs_hooks ->
+  in_flight:int ->
+  n_visited:int ->
+  residual:int ->
+  deliveries:int ->
+  total_bits:int ->
+  unit
+(** One sample of the in-flight, wavefront and cut-residual gauges and of
+    the five [engine.*] timeline series (track 0). *)
+
+type gc_mark
+
+val gc_start : Obs.t option -> gc_mark
+
+val gc_finish : Obs.t option -> gc_mark -> unit
+(** Set the [engine.gc.*] gauges for the run since [gc_start] and mirror
+    the timeline ring's overwrite count into [timeline.dropped]. *)
+
+type journal
+(** A run's lineage pop journal, handed over by {!Obs.Lineage.note_journal}. *)
+
+val journal : Obs.Lineage.t option -> n_vertices:int -> n_edges:int -> journal
+val journal_pop : journal -> edge:int -> parent:int -> unit
+(** One consumed copy; [parent] is the run-local delivery number of the
+    receive that sent it (0 = root emission or retransmission). *)
+
+val journal_close : journal -> heads:int array -> unit
+(** [heads] maps a dense edge to its target vertex. *)
+
+(** A run's fate state: vertex states, visited flags, checkpoints, the
+    supervisor's retransmission state, the fault, vertex-fault and churn
+    instances and every fault counter.  Each operation applies one rule
+    and updates its [engine.*] Obs cells.  Per popped copy the order is
+    [offer] (churn), then [arrive] (vertex fault), then [corrupt]. *)
+module Fate (P : Protocol_intf.PROTOCOL) : sig
+  type t
+
+  val start :
+    oh:obs_hooks option ->
+    faults:Faults.t ->
+    vfaults:Vfaults.t ->
+    churn:Churn.t ->
+    supervisor:Supervisor.config option ->
+    n_vertices:int ->
+    n_edges:int ->
+    out_degree:(int -> int) ->
+    in_degree:(int -> int) ->
+    t
+
+  val states : t -> P.state array
+  val visited : t -> bool array
+  val n_visited : t -> int
+  val max_state_bits : t -> int
+  val mark_visited : t -> int -> unit
+
+  val copies : t -> edge:int -> P.message -> Faults.copy_fate list
+  (** The copies one send puts on [edge] (one clean copy without edge
+      faults); remembers [msg] for retransmission. *)
+
+  val offer : t -> edge:int -> Churn.fate
+  val mark_churn : t -> edge:int -> Churn.fate -> unit
+
+  val arrive : t -> vertex:int -> bool
+  (** [true] if the delivery reaches [P.receive]; otherwise it stuttered,
+      hit a down vertex, or crashed it (recovery applied here). *)
+
+  val corrupt :
+    t -> edge:int -> length_bits:int -> string -> P.message -> P.message option
+  (** Decode the encoding with the edge's drawn bit flipped; [None] on a
+      checksum reject or a garble. *)
+
+  val verify : length_bits:int -> string -> P.message -> unit
+  (** Raise {!Codec_mismatch} unless the encoding decodes to [msg]. *)
+
+  val receive :
+    t ->
+    vertex:int ->
+    in_port:int ->
+    timed:bool ->
+    P.message ->
+    P.state * (int * P.message) list
+  (** Apply [P.receive] ([timed]: record its wall time), install the new
+      state and checkpoint it when the cadence is due. *)
+
+  val retransmit :
+    t ->
+    source:(int -> int) ->
+    send:(extra_delay:int -> int -> P.message -> unit) ->
+    bool
+  (** One supervisor round, if armed and rounds remain: re-[send] each
+      edge's last message whose [source] is up; [true] if any was. *)
+
+  val finish : t -> fault_stats * vertex_fault_stats * churn_stats
+  (** The stats records; folds instance totals into the Obs counters. *)
+end
+
 module Make (P : Protocol_intf.PROTOCOL) : sig
   type state = P.state
   type message = P.message

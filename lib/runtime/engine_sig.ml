@@ -1,15 +1,18 @@
 (** The run signature shared by every sequential engine implementation.
 
-    {!Engine.Make} (the classic heap-allocating executor) and
+    {!Engine.Make} (the classic reference executor) and
     [Flatcore.Engine.Make] (the CSR + arena flat executor) both produce a
     module of this shape, so call sites — witness replays, the serving
     runner, the CLI — can take the engine as a first-class module and stay
-    agnostic of which implementation runs.  The contract is strict: for
-    equal inputs every field of the returned {!Engine.report} (and every
-    deterministic [engine.*] Obs counter) must be identical across
-    implementations — the flat engine is an {e optimization}, never a
-    different semantics.  [test/test_flatcore.ml] enforces this
-    byte-for-byte. *)
+    agnostic of which implementation runs.  Both drive the same shared
+    code in {!Engine} — the scheduler pools ({!Engine.pool}), every copy
+    and vertex fate ({!Engine.Fate}) and the run telemetry — and differ
+    only in data layout and scheduling mechanics.  The contract is strict:
+    for equal inputs every field of the returned {!Engine.report} (and
+    every deterministic [engine.*] Obs counter) must be identical across
+    implementations.  [test/test_flatcore.ml] enforces this byte-for-byte
+    for the layout-specific parts: arena and memo bit accounting, CSR
+    target resolution and the flood fast path. *)
 
 module type S = sig
   type state

@@ -275,6 +275,75 @@ let chaos_tests =
         (chaos_parity (module P) name ~family:cls))
     (Anonet.Check_suite.protocols ())
 
+(* {1 Replay parity} *)
+
+(* A [Random] run under every fate source at once, recorded through
+   [on_pop] and replayed as a [Replay] schedule on both engines: each
+   replay must reproduce the recorded run's report and Obs snapshot.
+   Delayed copies and supervisor retransmissions are the cases where the
+   replay pool must report empty without consuming its head. *)
+module K3 = struct
+  let k = 3
+end
+
+module General_r3 = Anonet.Redundant.Make (K3) (Anonet.General_broadcast)
+
+let replay_parity () =
+  let module C = Runtime.Engine.Make (General_r3) in
+  let module Fl = Flatcore.Engine.Make (General_r3) in
+  let digest s =
+    Anonet.General_broadcast.digest (General_r3.inner s)
+    ^ "/" ^ string_of_int (General_r3.dedup_entries s)
+  in
+  for seed = 1 to 12 do
+    let g = Result.get_ok (F.of_spec (Printf.sprintf "random:14:%d" seed)) in
+    let faults =
+      Runtime.Faults.create ~drop:0.1 ~duplicate:0.05 ~max_delay:3 ~corrupt:0.1
+        ~kill:0.04 ~seed ()
+    in
+    let vfaults =
+      Runtime.Vfaults.uniform
+        (Runtime.Vfaults.plan ~crash:0.05 ~max_downtime:3
+           ~recovery:Runtime.Vfaults.Amnesia ~stutter:0.05 ())
+        ~seed
+    in
+    let churn =
+      Runtime.Churn.uniform
+        (Runtime.Churn.plan ~remove:0.08 ~max_downtime:4 ())
+        ~seed
+    in
+    let supervisor =
+      { Runtime.Supervisor.default with max_retries = 3; seed = seed * 7 }
+    in
+    let ctx = Printf.sprintf "random:14:%d" seed in
+    let popped = ref [] in
+    let ro = Obs.create ~sample_every:5 () in
+    let recorded =
+      C.run ~scheduler:(Scheduler.Random (Prng.create (seed * 31))) ~faults
+        ~vfaults ~churn ~supervisor ~obs:ro
+        ~on_pop:(fun s -> popped := s :: !popped)
+        g
+    in
+    let order = List.rev !popped in
+    Alcotest.(check int)
+      (ctx ^ ": one pop per delivery")
+      recorded.E.deliveries (List.length order);
+    let co = Obs.create ~sample_every:5 () in
+    let fo = Obs.create ~sample_every:5 () in
+    let cr =
+      C.run ~scheduler:(Scheduler.Replay order) ~faults ~vfaults ~churn
+        ~supervisor ~obs:co g
+    in
+    let fr =
+      Fl.run ~scheduler:(Scheduler.Replay order) ~faults ~vfaults ~churn
+        ~supervisor ~obs:fo g
+    in
+    same_reports ~ctx:(ctx ^ "/classic replay") digest recorded cr;
+    same_reports ~ctx:(ctx ^ "/flat replay") digest recorded fr;
+    same_obs ~ctx:(ctx ^ "/classic replay") ro co;
+    same_obs ~ctx:(ctx ^ "/flat replay") ro fo
+  done
+
 (* {1 The flood fast path} *)
 
 (* Layered graphs with obs on: the probe certifies flooding, the int-ring
@@ -341,6 +410,11 @@ let () =
         ] );
       ("equivalence", equivalence_tests);
       ("chaos", chaos_tests);
+      ( "replay",
+        [
+          Alcotest.test_case "replay parity: redundant general, every fate"
+            `Quick replay_parity;
+        ] );
       ( "fast-path",
         [
           Alcotest.test_case "flood fast path == classic" `Quick

@@ -116,9 +116,9 @@ let test_critical_path () =
 
 (* {1 Track} *)
 
-(* Both engines record on timeline track 0: the classic engine and the flat
-   flood fast path through their pop journals, the flat generic path (any
-   protocol other than bare flooding) through inline notes. *)
+(* Both engines record on timeline track 0, through their pop journals:
+   the classic engine, the flat flood fast path and the flat generic path
+   (any protocol other than bare flooding). *)
 let all_track_zero ctx l =
   Alcotest.(check bool) (ctx ^ ": something stored") true (L.stored l > 0);
   L.iter_stored l (fun n ->
@@ -145,6 +145,59 @@ let test_track_flat () =
   Alcotest.(check int) "generic: nodes = deliveries" r.E.deliveries
     (L.nodes generic);
   all_track_zero "flat general broadcast" generic
+
+(* {1 One recorder, several runs} *)
+
+(* [bind] lets one recorder span a sweep, so node ids must continue across
+   runs and each run's parents must point into that run.  Every engine path
+   hands over the same pop journal (run-local parents, offset by the
+   recorder), so the stored streams agree: the classic engine and the flat
+   generic path under Lifo on tree broadcast, and the classic engine and
+   the flat flood fast path under Fifo on flooding. *)
+let test_shared_recorder () =
+  let g = F.comb 4 in
+  let module Ct = Runtime.Engine.Make (Anonet.Tree_broadcast) in
+  let module Ft = Flatcore.Engine.Make (Anonet.Tree_broadcast) in
+  let two_runs ctx run =
+    let l = L.create ~sample_every:1 ~capacity:(1 lsl 16) () in
+    let d1 = run l in
+    let d2 = run l in
+    Alcotest.(check int) (ctx ^ ": nodes = sum of deliveries") (d1 + d2)
+      (L.nodes l);
+    let stream = stored_list l in
+    Alcotest.(check (list int))
+      (ctx ^ ": ids 1..nodes")
+      (List.init (d1 + d2) (fun i -> i + 1))
+      (List.map (fun (id, _, _, _, _) -> id) stream);
+    List.iter
+      (fun (id, parent, _, _, _) ->
+        if id > d1 && parent <> 0 && parent <= d1 then
+          Alcotest.failf "%s: node %d of run 2 has parent %d in run 1" ctx id
+            parent)
+      stream;
+    stream
+  in
+  let lifo = Runtime.Scheduler.Lifo in
+  let nodes = Alcotest.(list (pair int (pair int (pair int (pair int int))))) in
+  let nest = List.map (fun (a, b, c, d, e) -> (a, (b, (c, (d, e))))) in
+  let classic_tree =
+    two_runs "classic tree" (fun l ->
+        (Ct.run ~scheduler:lifo ~lineage:l g).E.deliveries)
+  in
+  let flat_tree =
+    two_runs "flat generic tree" (fun l ->
+        (Ft.run ~scheduler:lifo ~lineage:l g).E.deliveries)
+  in
+  Alcotest.check nodes "tree: classic == flat generic" (nest classic_tree)
+    (nest flat_tree);
+  let classic_flood =
+    two_runs "classic flood" (fun l -> (Cl.run ~lineage:l g).E.deliveries)
+  in
+  let flat_flood =
+    two_runs "flat flood" (fun l -> (Fl.run ~lineage:l g).E.deliveries)
+  in
+  Alcotest.check nodes "flood: classic == flat fast path" (nest classic_flood)
+    (nest flat_flood)
 
 (* {1 JSON export} *)
 
@@ -182,5 +235,7 @@ let () =
           Alcotest.test_case "track 0: classic" `Quick test_track_classic;
           Alcotest.test_case "track 0: flat (fast + generic)" `Quick
             test_track_flat;
+          Alcotest.test_case "one recorder, two runs: every engine path"
+            `Quick test_shared_recorder;
         ] );
     ]
