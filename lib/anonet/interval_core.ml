@@ -7,19 +7,36 @@ type t = {
   label : Is.t;
   seen_alpha : Is.t;
   sent : Is.t;
+  size : int;
 }
 
 type outgoing = { port : int; d_alpha : Is.t; d_beta : Is.t }
 
+(* Encoded size of the state's sets, plus one byte of flags. *)
+let size_of ~alpha ~beta ~label ~seen_alpha =
+  Array.fold_left
+    (fun acc a -> acc + Is.size_bits a)
+    (Is.size_bits beta + Is.size_bits label + Is.size_bits seen_alpha + 8)
+    alpha
+
+(* [size] after [old] is replaced by [now]; an untouched set is physically
+   the old one and costs nothing. *)
+let resize size old now =
+  if old == now then size else size - Is.size_bits old + Is.size_bits now
+
 let create ~out_degree =
+  let alpha = Array.make out_degree Is.empty in
   {
     initialized = false;
-    alpha = Array.make out_degree Is.empty;
+    alpha;
     beta = Is.empty;
     label = Is.empty;
     seen_alpha = Is.empty;
     sent = Is.empty;
+    size = size_of ~alpha ~beta:Is.empty ~label:Is.empty ~seen_alpha:Is.empty;
   }
+
+let size_bits state = state.size
 
 (* Flood a beta delta on every port (no alpha news anywhere). *)
 let beta_flood_sends d d_beta =
@@ -39,7 +56,10 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
     in
     let initialized = state.initialized || not (Is.is_empty alpha') in
     let beta = Is.union state.beta beta' in
-    ({ state with initialized; beta; label; seen_alpha; sent = label }, [])
+    let size = resize state.size state.beta beta in
+    let size = resize size state.label label in
+    let size = resize size state.seen_alpha seen_alpha in
+    ({ state with initialized; beta; label; seen_alpha; sent = label; size }, [])
   end
   else if (not state.initialized) && not (Is.is_empty alpha') then begin
     (* First real commodity: canonical partition (Definition 4.1). *)
@@ -61,14 +81,17 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
     in
     (* Label and port parts partition alpha', so all of it counts as sent. *)
     ( { initialized = true; alpha = port_parts; beta; label; seen_alpha;
-        sent = alpha' },
+        sent = alpha';
+        size = size_of ~alpha:port_parts ~beta ~label ~seen_alpha },
       sends )
   end
   else if not state.initialized then begin
     (* Beta-only traffic before initialization: merge and relay. *)
     let beta = Is.union state.beta beta' in
     let d_beta = Is.diff beta state.beta in
-    ({ state with beta; seen_alpha }, beta_flood_sends d d_beta)
+    let size = resize state.size state.beta beta in
+    let size = resize size state.seen_alpha seen_alpha in
+    ({ state with beta; seen_alpha; size }, beta_flood_sends d d_beta)
   end
   else begin
     (* Initialized: unseen alpha continues on the last port; already-sent
@@ -89,7 +112,10 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
             { port; d_alpha = (if port = last then new_alpha else Is.empty); d_beta })
     in
     let sent = Is.union state.sent new_alpha in
-    ({ state with alpha; beta; seen_alpha; sent }, sends)
+    let size = resize state.size state.alpha.(last) alpha.(last) in
+    let size = resize size state.beta beta in
+    let size = resize size state.seen_alpha seen_alpha in
+    ({ state with alpha; beta; seen_alpha; sent; size }, sends)
   end
 
 (* Canonical fingerprint for the model checker: every field is behavioral
@@ -137,4 +163,9 @@ let invariant ?prev state =
   let sent_exact =
     Is.equal state.sent (Array.fold_left Is.union state.label state.alpha)
   in
-  pairwise_disjoint && sent_exact && monotone
+  let size_exact =
+    state.size
+    = size_of ~alpha:state.alpha ~beta:state.beta ~label:state.label
+        ~seen_alpha:state.seen_alpha
+  in
+  pairwise_disjoint && sent_exact && size_exact && monotone

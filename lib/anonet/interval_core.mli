@@ -27,6 +27,10 @@ type t = {
       (** [label] union every [alpha.(j)]: the alpha this vertex has already
           passed on, against which an arrival is split into new alpha and
           detected cycle.  Derived, kept incrementally. *)
+  size : int;
+      (** {!size_bits}: the encoded size of [alpha], [beta], [label] and
+          [seen_alpha] plus 8 flag bits.  Derived, kept incrementally:
+          [step] re-sizes only the sets it replaced. *)
 }
 
 type outgoing = {
@@ -47,6 +51,10 @@ val step :
 (** One application of [(f, g)].  Only ports with something new to say
     appear in the result (the paper's [g = phi] case). *)
 
+val size_bits : t -> int
+(** The state's size in bits, the [state_bits] of every protocol built on
+    this core; O(1). *)
+
 val accepting : t -> bool
 (** The stopping predicate [S]: everything received or beta-flooded covers
     exactly [\[0,1)]. *)
@@ -59,5 +67,6 @@ val digest : t -> string
 
 val invariant : ?prev:t -> t -> bool
 (** Structural invariants: [alpha.(j)] pairwise disjoint and disjoint from
-    the label; [sent] equal to the label union every [alpha.(j)]; with
+    the label; [sent] equal to the label union every [alpha.(j)]; [size]
+    equal to the size summed from scratch; with
     [?prev], state-monotonicity w.r.t. that earlier state. *)

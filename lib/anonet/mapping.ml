@@ -54,6 +54,9 @@ type state = {
      (sender, sender out-port, local in-port). *)
   local_ends : (sender_id * int * int) list;
   in_degree : int;
+  (* Size of everything but [core]: [in_info], [anns], [facts] and
+     [local_ends], kept incrementally (see [state_bits]). *)
+  table_bits : int;
 }
 
 type message = {
@@ -67,15 +70,34 @@ type message = {
 
 let name = "mapping"
 
+let sender_bits = function Root -> 1 | Labeled iv -> 1 + I.size_bits iv
+let ann_bits a = 32 + sender_bits a.ann_who
+let fact_bits f = I.size_bits f.dst + 32 + sender_bits f.src
+
+let info_bits = function
+  | None -> 1
+  | Some (sid, _) -> 16 + sender_bits sid
+
+let local_end_bits = 48
+
+(* [table_bits] summed from scratch, for the invariant. *)
+let table_bits_of st =
+  Array.fold_left (fun acc info -> acc + info_bits info) 0 st.in_info
+  + Ann_set.fold (fun a acc -> acc + ann_bits a) st.anns 0
+  + Fact_set.fold (fun f acc -> acc + fact_bits f) st.facts 0
+  + (local_end_bits * List.length st.local_ends)
+
 let initial_state ~out_degree ~in_degree =
+  let in_info = Array.make (max in_degree 1) None in
   {
     core = Interval_core.create ~out_degree;
     my_label = None;
-    in_info = Array.make (max in_degree 1) None;
+    in_info;
     anns = Ann_set.empty;
     facts = Fact_set.empty;
     local_ends = [];
     in_degree;
+    table_bits = Array.length in_info * info_bits None;
   }
 
 let root_emit ~out_degree =
@@ -123,12 +145,17 @@ let receive ~out_degree ~in_degree st msg ~in_port =
     match (msg.m_sender, st.in_info.(in_port)) with
     | Some sid, None ->
         let in_info = Array.copy st.in_info in
-        in_info.(in_port) <- Some (sid, msg.m_sender_port);
-        let local_ends =
-          if out_degree = 0 then (sid, msg.m_sender_port, in_port) :: st.local_ends
-          else st.local_ends
-        in
-        { st with in_info; local_ends }
+        let info = Some (sid, msg.m_sender_port) in
+        in_info.(in_port) <- info;
+        let table_bits = st.table_bits - info_bits None + info_bits info in
+        if out_degree = 0 then
+          {
+            st with
+            in_info;
+            local_ends = (sid, msg.m_sender_port, in_port) :: st.local_ends;
+            table_bits = table_bits + local_end_bits;
+          }
+        else { st with in_info; table_bits }
     | _ -> st
   in
   (* Adopt the label the instant the core assigns one. *)
@@ -163,6 +190,13 @@ let receive ~out_degree ~in_degree st msg ~in_port =
   let st = mint_facts st out_degree in
   let d_anns = Ann_set.elements (Ann_set.diff st.anns anns_before) in
   let d_facts = Fact_set.elements (Fact_set.diff st.facts facts_before) in
+  let st =
+    if d_anns = [] && d_facts = [] then st
+    else
+      let bits = List.fold_left (fun acc a -> acc + ann_bits a) st.table_bits d_anns in
+      let bits = List.fold_left (fun acc f -> acc + fact_bits f) bits d_facts in
+      { st with table_bits = bits }
+  in
   let sender = Option.map (fun iv -> Labeled iv) st.my_label in
   (* Combine the core's per-port alpha/beta deltas with the flooded
      announcement/fact deltas (which go out on every port). *)
@@ -273,43 +307,7 @@ let equal_message a b =
   && Option.equal (fun x y -> compare_sender_id x y = 0) a.m_sender b.m_sender
   && a.m_sender_port = b.m_sender_port
 
-let interval_bits = I.size_bits
-
-let state_bits st =
-  let iset_bits = Is.size_bits in
-  let core_bits =
-    Array.fold_left
-      (fun acc a -> acc + iset_bits a)
-      (iset_bits st.core.Interval_core.beta
-      + iset_bits st.core.Interval_core.label
-      + iset_bits st.core.Interval_core.seen_alpha
-      + 8)
-      st.core.Interval_core.alpha
-  in
-  let ann_bits =
-    Ann_set.fold
-      (fun a acc ->
-        acc + 32
-        + (match a.ann_who with Root -> 1 | Labeled iv -> 1 + interval_bits iv))
-      st.anns 0
-  in
-  let fact_bits =
-    Fact_set.fold
-      (fun f acc ->
-        acc + interval_bits f.dst + 32
-        + (match f.src with Root -> 1 | Labeled iv -> 1 + interval_bits iv))
-      st.facts 0
-  in
-  let table_bits =
-    Array.fold_left
-      (fun acc info ->
-        match info with
-        | None -> acc + 1
-        | Some (Root, _) -> acc + 17
-        | Some (Labeled iv, _) -> acc + 17 + interval_bits iv)
-      0 st.in_info
-  in
-  core_bits + ann_bits + fact_bits + table_bits + (48 * List.length st.local_ends)
+let state_bits st = Interval_core.size_bits st.core + st.table_bits
 
 let pp_message fmt msg =
   Format.fprintf fmt "alpha=%s beta=%s anns=%d facts=%d" (Is.to_string msg.m_alpha)
@@ -382,7 +380,9 @@ let conservation =
        })
 
 let vertex_invariant =
-  Some (fun ~out_degree:_ ~in_degree:_ st -> Interval_core.invariant st.core)
+  Some
+    (fun ~out_degree:_ ~in_degree:_ st ->
+      Interval_core.invariant st.core && st.table_bits = table_bits_of st)
 
 let vertex_label st = st.my_label
 let announcements st = Ann_set.elements st.anns

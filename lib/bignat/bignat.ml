@@ -158,14 +158,18 @@ let mul_int a m =
   end
   else mul a (of_int m)
 
+(* Binary search over halving shifts: [k] runs 32, 16, ..., 1, so six steps
+   whatever the value.  A negative [n] is read as its full machine word. *)
+let rec width_from w v k =
+  if k = 0 then w + v
+  else if v lsr k <> 0 then width_from (w + k) (v lsr k) (k lsr 1)
+  else width_from w v (k lsr 1)
+
+let int_width n = if n < 0 then Sys.int_size else width_from 0 n 32
+
 let bit_length x =
   let n = Array.length x in
-  if n = 0 then 0
-  else begin
-    let top = x.(n - 1) in
-    let rec width w v = if v = 0 then w else width (w + 1) (v lsr 1) in
-    ((n - 1) * limb_bits) + width 0 top
-  end
+  if n = 0 then 0 else ((n - 1) * limb_bits) + int_width x.(n - 1)
 
 let testbit x i =
   let limb = i / limb_bits and off = i mod limb_bits in

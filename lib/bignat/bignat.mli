@@ -71,6 +71,12 @@ val compare_shifted : t -> int -> t -> int -> int
 val bit_length : t -> int
 (** Number of significant bits; [bit_length zero = 0]. *)
 
+val int_width : int -> int
+(** [int_width n] is the number of significant bits of [n >= 0]
+    ([int_width 0 = 0]), by a six-step binary search; a negative [n]
+    gives [Sys.int_size].  The one bit-width helper of the
+    numeric kernel, the codecs and the dyadic fast path. *)
+
 val testbit : t -> int -> bool
 (** [testbit x i] is bit [i] (LSB is bit 0). *)
 

@@ -16,13 +16,9 @@ let read_unary r =
   done;
   !n
 
-let int_width n =
-  let rec go acc n = if n = 0 then acc else go (acc + 1) (n lsr 1) in
-  go 0 n
-
 let write_gamma w n =
   if n < 1 then invalid_arg "Codes.write_gamma: needs n >= 1";
-  let k = int_width n - 1 in
+  let k = B.int_width n - 1 in
   write_unary w k;
   Bit_writer.bits w (n - (1 lsl k)) k
 
@@ -35,7 +31,7 @@ let read_gamma0 r = read_gamma r - 1
 
 let write_delta w n =
   if n < 1 then invalid_arg "Codes.write_delta: needs n >= 1";
-  let k = int_width n - 1 in
+  let k = B.int_width n - 1 in
   write_gamma w (k + 1);
   Bit_writer.bits w (n - (1 lsl k)) k
 
@@ -50,25 +46,41 @@ let write_bignat w x =
     Bit_writer.bit w (B.testbit x i)
   done
 
-let read_bignat r =
-  let n = read_gamma0 r in
-  let x = ref B.zero in
-  for _ = 1 to n do
-    x := B.shift_left !x 1;
-    if Bit_reader.bit r then x := B.add !x B.one
-  done;
-  !x
+(* [n] magnitude bits, MSB first: a short leading chunk, then whole 30-bit
+   chunks, so the value is built in [n / 30] shift-and-add steps.  A
+   corrupted length below zero reads nothing and yields zero. *)
+let read_magnitude r n =
+  let chunk = 30 in
+  if n <= 0 then B.zero
+  else begin
+    let x = ref (B.of_int (Bit_reader.bits r (n mod chunk))) in
+    for _ = 1 to n / chunk do
+      x := B.add (B.shift_left !x chunk) (B.of_int (Bit_reader.bits r chunk))
+    done;
+    !x
+  end
 
+let read_bignat r = read_magnitude r (read_gamma0 r)
+
+(* The same bits as [write_bignat (Dy.mantissa d)]; a mantissa that fits an
+   int goes out in one [Bit_writer.bits] call. *)
 let write_dyadic w d =
   Bit_writer.bit w (Dy.is_negative d);
   write_gamma0 w (Dy.exponent d);
-  write_bignat w (Dy.mantissa d)
+  let n = Dy.mantissa_bits d in
+  if n <= Dy.int_bits then begin
+    write_gamma0 w n;
+    Bit_writer.bits w (Dy.mantissa_int d) n
+  end
+  else write_bignat w (Dy.mantissa d)
 
 let read_dyadic r =
   let negative = Bit_reader.bit r in
   let e = read_gamma0 r in
-  let m = read_bignat r in
-  Dy.make ~negative m e
+  let n = read_gamma0 r in
+  if n <= 0 then Dy.make_int ~negative 0 e
+  else if n <= Dy.int_bits then Dy.make_int ~negative (Bit_reader.bits r n) e
+  else Dy.make ~negative (read_magnitude r n) e
 
 let write_rational w q =
   Bit_writer.bit w (Q.is_negative q);
@@ -82,12 +94,15 @@ let read_rational r =
   Q.make ~negative num den
 
 let gamma0_size n =
-  let k = int_width (n + 1) - 1 in
+  let k = B.int_width (n + 1) - 1 in
   (2 * k) + 1
 
 let bignat_size x =
   let n = B.bit_length x in
   gamma0_size n + n
 
-let dyadic_size d = 1 + gamma0_size (Dy.exponent d) + bignat_size (Dy.mantissa d)
+let dyadic_size d =
+  let n = Dy.mantissa_bits d in
+  1 + gamma0_size (Dy.exponent d) + gamma0_size n + n
+
 let rational_size q = 1 + bignat_size (Q.num q) + bignat_size (Q.den q)

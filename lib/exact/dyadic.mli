@@ -7,7 +7,14 @@
     values are [2^-k].
 
     Values are normalized (mantissa odd unless the exponent is zero; zero is
-    canonical), so structural equality is numeric equality. *)
+    canonical), so structural equality is numeric equality.
+
+    A value has one of two representations, fixed by its value: a mantissa
+    of at most {!int_bits} bits is an immediate machine int, a wider one a
+    {!Bignat.t}.  On immediate operands [compare], [add], [sub], [mul],
+    [mul_pow2] and [bit_size] are a few int instructions and allocate at
+    most the result; they test the aligned width before any shift and fall
+    back to {!Bignat} arithmetic when a result could overflow. *)
 
 type t
 
@@ -18,11 +25,25 @@ val half : t
 val make : ?negative:bool -> Bignat.t -> int -> t
 (** [make m e] is [± m / 2^e], normalized. Requires [e >= 0]. *)
 
+val make_int : ?negative:bool -> int -> int -> t
+(** [make_int m e] is [make (Bignat.of_int m) e] without building the
+    {!Bignat}.  Requires [m >= 0] and [e >= 0]. *)
+
 val of_int : int -> t
 val of_bignat : Bignat.t -> t
 
+val int_bits : int
+(** [61]: mantissas of at most this many bits are stored as machine ints. *)
+
 val mantissa : t -> Bignat.t
 (** Mantissa magnitude of the normal form. *)
+
+val mantissa_bits : t -> int
+(** [Bignat.bit_length (mantissa x)], without building the {!Bignat}. *)
+
+val mantissa_int : t -> int
+(** Mantissa magnitude as an int.
+    @raise Invalid_argument when [mantissa_bits x > int_bits]. *)
 
 val exponent : t -> int
 (** Denominator exponent of the normal form: the value is

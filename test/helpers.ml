@@ -43,6 +43,28 @@ let report_summary (r : _ Runtime.Engine.report) =
     f.Runtime.Engine.garbled_drops
     (List.length f.Runtime.Engine.dead_edges)
 
+(* Byte-identity gate: every report field of a pinned run, on each
+   [(engine name, report)] given. *)
+let check_report_pinned ~deliveries ~total_bits ~max_edge_bits ~max_message_bits
+    ~distinct_messages ~max_state_bits runs =
+  List.iter
+    (fun (engine, (r : _ Runtime.Engine.report)) ->
+      let check what = Alcotest.(check int) (engine ^ ": " ^ what) in
+      Alcotest.check outcome (engine ^ ": outcome") Runtime.Engine.Terminated
+        r.Runtime.Engine.outcome;
+      Alcotest.(check bool) (engine ^ ": all visited") true
+        (Array.for_all Fun.id r.Runtime.Engine.visited);
+      check "deliveries" deliveries r.Runtime.Engine.deliveries;
+      check "total bits" total_bits r.Runtime.Engine.total_bits;
+      check "busiest edge" max_edge_bits r.Runtime.Engine.max_edge_bits;
+      check "largest message" max_message_bits r.Runtime.Engine.max_message_bits;
+      check "distinct symbols" distinct_messages r.Runtime.Engine.distinct_messages;
+      check "max state bits" max_state_bits r.Runtime.Engine.max_state_bits)
+    runs
+
+let graph_of_spec spec =
+  match Digraph.Families.of_spec spec with Ok g -> g | Error e -> Alcotest.fail e
+
 (* {1 QCheck generators} *)
 
 let gen_bignat : B.t QCheck.Gen.t =
@@ -144,6 +166,99 @@ let gen_wide_iset : Is.t QCheck.Gen.t =
     Is.of_intervals (pairs points))
 
 let arb_wide_iset = QCheck.make ~print:Is.to_string gen_wide_iset
+
+(* {2 The int/Bignat boundary of Dyadic}
+
+   [Exact.Dyadic] stores a mantissa of at most [Dy.int_bits] (61) bits as a
+   machine int and a wider one as a [Bignat].  These generators straddle
+   that limit: mantissas of 55-68 bits (and the exact neighbours of 2^61),
+   halves of 28-34 bits whose products land on either side, and small
+   mantissas (and zero) that cross it when shifted by an exponent gap of
+   55-70. *)
+
+(* An odd mantissa of exactly [bits >= 1] bits. *)
+let gen_mantissa_of_bits bits : B.t QCheck.Gen.t =
+  QCheck.Gen.(
+    list_repeat 3 (int_bound ((1 lsl 30) - 1)) >|= fun limbs ->
+    let r =
+      List.fold_left (fun acc l -> B.add (B.shift_left acc 30) (B.of_int l)) B.zero limbs
+    in
+    if bits = 1 then B.one
+    else
+      B.add (B.pow2 (bits - 1))
+        (B.add (B.shift_left (B.rem r (B.pow2 (bits - 2))) 1) B.one))
+
+let gen_boundary_mantissa : B.t QCheck.Gen.t =
+  QCheck.Gen.(
+    let near_limit =
+      oneofl
+        [
+          B.pred (B.pow2 61); B.pow2 61; B.succ (B.pow2 61); B.pow2 60;
+          B.pred (B.pow2 62); B.pow2 62;
+        ]
+    in
+    frequency
+      [
+        (4, int_range 55 68 >>= gen_mantissa_of_bits);
+        (2, int_range 28 34 >>= gen_mantissa_of_bits);
+        (2, int_range 1 20 >>= gen_mantissa_of_bits);
+        (1, near_limit);
+        (1, return B.zero);
+      ])
+
+let gen_boundary_dyadic : Dy.t QCheck.Gen.t =
+  QCheck.Gen.(
+    map3 (fun negative m e -> Dy.make ~negative m e) bool gen_boundary_mantissa
+      (int_bound 12))
+
+let arb_boundary_dyadic = QCheck.make ~print:Dy.to_string gen_boundary_dyadic
+
+(* Pairs: exponents 55-70 apart (either way round), equal exponents (sums
+   of two wide mantissas cross 2^61 upward), and a value against itself
+   nudged by a power of two (differences cross it downward). *)
+let gen_boundary_pair : (Dy.t * Dy.t) QCheck.Gen.t =
+  QCheck.Gen.(
+    let side = pair bool gen_boundary_mantissa in
+    let gapped =
+      map3
+        (fun ((n1, m1), (n2, m2)) (e, gap) swap ->
+          let x = Dy.make ~negative:n1 m1 e
+          and y = Dy.make ~negative:n2 m2 (e + gap) in
+          if swap then (y, x) else (x, y))
+        (pair side side) (pair (int_bound 8) (int_range 55 70)) bool
+    in
+    let level =
+      map3
+        (fun (n1, m1) (n2, m2) e ->
+          (Dy.make ~negative:n1 m1 e, Dy.make ~negative:n2 m2 e))
+        side side (int_bound 8)
+    in
+    let nudged =
+      map3
+        (fun x k up -> (x, (if up then Dy.add else Dy.sub) x (Dy.pow2 (-k))))
+        gen_boundary_dyadic (int_range 0 70) bool
+    in
+    frequency [ (2, gapped); (1, level); (1, nudged) ])
+
+let arb_boundary_pair =
+  QCheck.make ~print:QCheck.Print.(pair Dy.to_string Dy.to_string) gen_boundary_pair
+
+(* [(x, y)] with [x] an int-form value and [x + y] beyond the int range:
+   [y]'s odd mantissa sits [gap] bits below [x]'s, and the gap is wide
+   enough that the aligned sum needs more than 61 bits. *)
+let gen_crossing_pair : (Dy.t * Dy.t) QCheck.Gen.t =
+  QCheck.Gen.(
+    int_range 55 61 >>= fun w ->
+    map3
+      (fun (negative, m1) m2 (e, gap) ->
+        let gap = Stdlib.max gap (62 - w) in
+        (Dy.make ~negative m1 (e + 1), Dy.make ~negative m2 (e + 1 + gap)))
+      (pair bool (gen_mantissa_of_bits w))
+      (int_range 1 68 >>= gen_mantissa_of_bits)
+      (pair (int_bound 8) (int_range 1 70)))
+
+let arb_crossing_pair =
+  QCheck.make ~print:QCheck.Print.(pair Dy.to_string Dy.to_string) gen_crossing_pair
 
 (* {1 Graph samplers} *)
 

@@ -78,6 +78,21 @@ let test_bit_length () =
   Alcotest.(check int) "256" 9 (B.bit_length (B.of_int 256));
   Alcotest.(check int) "2^100" 101 (B.bit_length (B.pow2 100))
 
+(* The constant-step width against the one-bit-at-a-time loop it replaced,
+   on every power of two, its neighbours, and the negative range. *)
+let test_int_width () =
+  let rec naive acc n = if n = 0 then acc else naive (acc + 1) (n lsr 1) in
+  let cases =
+    [ 0; 1; 2; 3; max_int; min_int; -1; -12345 ]
+    @ List.concat_map
+        (fun k -> [ (1 lsl k) - 1; 1 lsl k; (1 lsl k) + 1 ])
+        (List.init 62 Fun.id)
+  in
+  List.iter
+    (fun n ->
+      Alcotest.(check int) (Printf.sprintf "int_width %d" n) (naive 0 n) (B.int_width n))
+    cases
+
 let test_testbit () =
   let x = B.of_int 0b1011010 in
   let expected = [ false; true; false; true; true; false; true; false ] in
@@ -266,6 +281,7 @@ let () =
           Alcotest.test_case "gcd" `Quick test_gcd_known;
           Alcotest.test_case "shifts" `Quick test_shifts_known;
           Alcotest.test_case "bit_length" `Quick test_bit_length;
+          Alcotest.test_case "int_width" `Quick test_int_width;
           Alcotest.test_case "testbit" `Quick test_testbit;
           Alcotest.test_case "pow" `Quick test_pow;
           Alcotest.test_case "limb boundaries" `Quick test_limb_boundaries;

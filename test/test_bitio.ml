@@ -154,6 +154,43 @@ let prop_concatenation_self_delimits =
       let r = R.of_string ~length_bits:(W.length w) (W.to_string w) in
       Dy.equal (C.read_dyadic r) d && B.equal (C.read_bignat r) x && R.at_end r)
 
+(* Chunked decoding: lengths on and off the 30-bit chunk grid, up to 2000
+   bits, with the bits after the value left unread. *)
+let test_bignat_long_roundtrip () =
+  List.iter
+    (fun x ->
+      let w = W.create () in
+      C.write_bignat w x;
+      C.write_gamma0 w 5;
+      let r = R.of_string ~length_bits:(W.length w) (W.to_string w) in
+      let name = Printf.sprintf "%d-bit roundtrip" (B.bit_length x) in
+      Alcotest.check bignat name x (C.read_bignat r);
+      Alcotest.(check int) (name ^ ": next field") 5 (C.read_gamma0 r))
+    [
+      B.zero; B.one; B.pred (B.pow2 29); B.pred (B.pow2 30); B.pow2 30;
+      B.pred (B.pow2 60); B.pow2 61; B.pow (B.of_int 3) 1261;
+      B.sub (B.pow2 2000) (B.of_int 12345); B.pred (B.pow2 1980);
+    ]
+
+(* The int fast path of the dyadic codec writes exactly the bits of the
+   generic layout (sign, gamma0 exponent, bignat mantissa) and reads them
+   back to the same normal form, on both sides of the 61-bit limit. *)
+let prop_dyadic_boundary_roundtrip =
+  qcheck_to_alcotest ~count:1000 "dyadic codec at the int/Bignat boundary"
+    arb_boundary_dyadic
+    (fun d ->
+      let w = W.create () in
+      C.write_dyadic w d;
+      let generic = W.create () in
+      W.bit generic (Dy.is_negative d);
+      C.write_gamma0 generic (Dy.exponent d);
+      C.write_bignat generic (Dy.mantissa d);
+      let r = R.of_string ~length_bits:(W.length w) (W.to_string w) in
+      W.to_bit_string w = W.to_bit_string generic
+      && W.length w = C.dyadic_size d
+      && C.read_dyadic r = d
+      && R.at_end r)
+
 let () =
   Alcotest.run "bitio"
     [
@@ -172,6 +209,7 @@ let () =
           Alcotest.test_case "gamma rejects 0" `Quick test_gamma_rejects;
           Alcotest.test_case "delta roundtrip" `Quick test_delta_roundtrip;
           Alcotest.test_case "gamma0 size" `Quick test_gamma0_size;
+          Alcotest.test_case "2000-bit bignat" `Quick test_bignat_long_roundtrip;
         ] );
       ( "properties",
         [
@@ -181,6 +219,7 @@ let () =
           prop_bignat_size;
           prop_dyadic_roundtrip;
           prop_dyadic_size;
+          prop_dyadic_boundary_roundtrip;
           prop_rational_roundtrip;
           prop_concatenation_self_delimits;
         ] );

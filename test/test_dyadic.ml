@@ -62,6 +62,18 @@ let test_to_float () =
   Alcotest.(check (float 1e-12)) "0.3125" 0.3125 (Dy.to_float (Dy.make (B.of_int 5) 4));
   Alcotest.(check (float 1e-12)) "-2.5" (-2.5) (Dy.to_float (Dy.make ~negative:true (B.of_int 5) 1))
 
+(* [-min_int = min_int]: the magnitude 2^62 must not go through
+   [Bignat.of_int] of a negative int. *)
+let test_of_int_extremes () =
+  Alcotest.(check bool) "of_int min_int = -(2^62)" true
+    (Dy.of_int min_int = Dy.neg (Dy.pow2 62));
+  Alcotest.check rational "of_int min_int value"
+    (Q.make ~negative:true (B.pow2 62) B.one)
+    (Dy.to_rational (Dy.of_int min_int));
+  Alcotest.(check bool) "of_int max_int = 2^62 - 1" true
+    (Dy.of_int max_int = Dy.sub (Dy.pow2 62) Dy.one);
+  Alcotest.(check int) "mantissa_bits max_int" 62 (Dy.mantissa_bits (Dy.of_int max_int))
+
 (* {1 Properties} *)
 
 let prop_add_comm =
@@ -151,6 +163,58 @@ let prop_of_rational_rejects_non_dyadic =
       QCheck.assume (not (B.is_even (Q.den q)));
       Dy.of_rational_opt q = None)
 
+(* {2 The int/Bignat boundary}
+
+   Every result must be the value [Rational] computes, and structurally
+   the normal form [make] builds for it: the one representation its
+   mantissa width allows. *)
+
+let canonical x =
+  x = Dy.make ~negative:(Dy.is_negative x) (Dy.mantissa x) (Dy.exponent x)
+
+let q = Dy.to_rational
+
+let agrees name op qop =
+  qcheck_to_alcotest ~count:1000 (name ^ " agrees with rationals (int/Bignat boundary)")
+    arb_boundary_pair
+    (fun (a, b) ->
+      let r = op a b in
+      Q.equal (q r) (qop (q a) (q b)) && canonical r)
+
+let prop_boundary_add = agrees "add" Dy.add Q.add
+let prop_boundary_sub = agrees "sub" Dy.sub Q.sub
+let prop_boundary_mul = agrees "mul" Dy.mul Q.mul
+
+let prop_boundary_compare =
+  qcheck_to_alcotest ~count:1000 "compare agrees with rationals (int/Bignat boundary)"
+    arb_boundary_pair
+    (fun (a, b) -> Dy.compare a b = Q.compare (q a) (q b))
+
+let prop_boundary_mul_pow2 =
+  qcheck_to_alcotest ~count:1000 "mul_pow2 agrees with rationals (int/Bignat boundary)"
+    QCheck.(pair arb_boundary_dyadic (int_range (-70) 70))
+    (fun (a, k) ->
+      let p = if k >= 0 then Q.make (B.pow2 k) B.one else Q.make B.one (B.pow2 (-k)) in
+      let r = Dy.mul_pow2 a k in
+      Q.equal (q r) (Q.mul (q a) p) && canonical r)
+
+let prop_boundary_make_canonical =
+  qcheck_to_alcotest ~count:1000 "make (m * 2^k) (e + k) = make m e structurally"
+    QCheck.(
+      triple (make ~print:B.to_string gen_boundary_mantissa) (int_bound 12) (int_bound 70))
+    (fun (m, e, k) ->
+      Dy.make (B.shift_left m k) (e + k) = Dy.make m e
+      && Dy.make ~negative:true (B.shift_left m k) (e + k) = Dy.make ~negative:true m e)
+
+let prop_boundary_crossing_roundtrip =
+  qcheck_to_alcotest ~count:1000 "(x + y) - y = x structurally when x + y leaves the int range"
+    arb_crossing_pair
+    (fun (x, y) ->
+      let s = Dy.add x y in
+      Dy.mantissa_bits x <= Dy.int_bits
+      && Dy.mantissa_bits s > Dy.int_bits
+      && Dy.sub s y = x)
+
 let () =
   Alcotest.run "dyadic"
     [
@@ -165,6 +229,7 @@ let () =
           Alcotest.test_case "midpoint" `Quick test_midpoint;
           Alcotest.test_case "rational bridge" `Quick test_rational_bridge;
           Alcotest.test_case "to_float" `Quick test_to_float;
+          Alcotest.test_case "of_int extremes" `Quick test_of_int_extremes;
         ] );
       ( "properties",
         [
@@ -181,5 +246,15 @@ let () =
           prop_midpoint_between;
           prop_rational_roundtrip;
           prop_of_rational_rejects_non_dyadic;
+        ] );
+      ( "int-bignat-boundary",
+        [
+          prop_boundary_compare;
+          prop_boundary_add;
+          prop_boundary_sub;
+          prop_boundary_mul;
+          prop_boundary_mul_pow2;
+          prop_boundary_make_canonical;
+          prop_boundary_crossing_roundtrip;
         ] );
     ]

@@ -161,22 +161,10 @@ let test_payload_term () =
    sort-based interval algebra.  A rewrite of Iset, Dyadic or
    Interval_core that moves a single delivery or bit fails here. *)
 let test_report_pinned () =
-  let g =
-    match F.of_spec "random:800:1" with Ok g -> g | Error e -> Alcotest.fail e
-  in
+  let g = graph_of_spec "random:800:1" in
   let module Flat = Flatcore.Engine.Make (GB) in
-  List.iter
-    (fun (engine, (r : GB.state E.report)) ->
-      let check what = Alcotest.(check int) (engine ^ ": " ^ what) in
-      Alcotest.check outcome (engine ^ ": outcome") E.Terminated r.outcome;
-      Alcotest.(check bool) (engine ^ ": all visited") true
-        (Array.for_all Fun.id r.visited);
-      check "deliveries" 40_328 r.deliveries;
-      check "total bits" 2_146_077 r.total_bits;
-      check "busiest edge" 2_771 r.max_edge_bits;
-      check "largest message" 85 r.max_message_bits;
-      check "distinct symbols" 1_792 r.distinct_messages;
-      check "max state bits" 13_258 r.max_state_bits)
+  check_report_pinned ~deliveries:40_328 ~total_bits:2_146_077 ~max_edge_bits:2_771
+    ~max_message_bits:85 ~distinct_messages:1_792 ~max_state_bits:13_258
     [ ("classic", GB_engine.run g); ("flat", Flat.run g) ]
 
 let () =

@@ -179,6 +179,29 @@ let test_sent_drift_caught () =
         ])
     [ false; true ]
 
+(* The cached size is what every interval protocol reports as
+   [state_bits]: a size left over from an earlier state, or off by one bit,
+   must fail [invariant]. *)
+let test_size_drift_caught () =
+  let quarter = Is.interval Exact.Dyadic.zero (Exact.Dyadic.pow2 (-2)) in
+  let top = Is.interval (Exact.Dyadic.make (Bignat.of_int 3) 2) Exact.Dyadic.one in
+  List.iter
+    (fun assign_label ->
+      let st0 = IC.create ~out_degree:2 in
+      let st1, _ = IC.step ~assign_label st0 ~alpha:Is.unit ~beta:Is.empty in
+      let st2, _ = IC.step ~assign_label st1 ~alpha:quarter ~beta:top in
+      Alcotest.(check bool) "consistent cache passes" true (IC.invariant st2);
+      Alcotest.(check bool) "the size moved" true (IC.size_bits st1 <> IC.size_bits st2);
+      List.iter
+        (fun (what, size) ->
+          Alcotest.(check bool) what false (IC.invariant { st2 with IC.size }))
+        [
+          ("stale size (initial) fails", IC.size_bits st0);
+          ("stale size (one step behind) fails", IC.size_bits st1);
+          ("size one bit high fails", IC.size_bits st2 + 1);
+        ])
+    [ false; true ]
+
 let () =
   Alcotest.run "interval-core"
     [
@@ -192,6 +215,7 @@ let () =
           Alcotest.test_case "quiet when nothing new" `Quick test_quiet_when_nothing_new;
           Alcotest.test_case "accepting" `Quick test_accepting;
           Alcotest.test_case "sent drift caught" `Quick test_sent_drift_caught;
+          Alcotest.test_case "size drift caught" `Quick test_size_drift_caught;
         ] );
       ( "properties",
         [

@@ -134,6 +134,16 @@ let test_labels_exist_before_termination () =
     r.states;
   Alcotest.(check int) "all five cycle vertices labeled" 5 !labeled_at_end
 
+(* Byte-identity gate for labeling: the full report on random:200:3 (202
+   vertices, 530 edges), on both engines.  [max_state_bits] includes the
+   kept label, so a change to how the state is sized shows here. *)
+let test_report_pinned () =
+  let g = graph_of_spec "random:200:3" in
+  let module Flat = Flatcore.Engine.Make (L) in
+  check_report_pinned ~deliveries:18_186 ~total_bits:1_259_299 ~max_edge_bits:5_236
+    ~max_message_bits:303 ~distinct_messages:1_081 ~max_state_bits:13_569
+    [ ("classic", L_engine.run g); ("flat", Flat.run g) ]
+
 let () =
   Alcotest.run "labeling"
     [
@@ -153,5 +163,6 @@ let () =
           Alcotest.test_case "path labels explicit" `Quick test_path_labels_explicit;
           Alcotest.test_case "cycle labels complete" `Quick
             test_labels_exist_before_termination;
+          Alcotest.test_case "random:200:3 report pinned" `Quick test_report_pinned;
         ] );
     ]

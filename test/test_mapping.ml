@@ -170,6 +170,16 @@ let test_map_isomorphic_rejects_wrong_graph () =
       Alcotest.(check bool) "rejects same-size different graph" false
         (M.map_isomorphic m other)
 
+(* Byte-identity gate for mapping: the full report on random:40:5 (42
+   vertices, 104 edges), on both engines.  [max_state_bits] counts the
+   announcement, fact and in-port tables beside the labeling core. *)
+let test_report_pinned () =
+  let g = graph_of_spec "random:40:5" in
+  let module Flat = Flatcore.Engine.Make (M) in
+  check_report_pinned ~deliveries:2_566 ~total_bits:549_771 ~max_edge_bits:9_476
+    ~max_message_bits:1_096 ~distinct_messages:2_566 ~max_state_bits:16_327
+    [ ("classic", M_engine.run g); ("flat", Flat.run g) ]
+
 let () =
   Alcotest.run "mapping"
     [
@@ -191,5 +201,6 @@ let () =
           Alcotest.test_case "labels valid" `Quick test_map_labels_are_valid_intervals;
           Alcotest.test_case "isomorphism test discriminates" `Quick
             test_map_isomorphic_rejects_wrong_graph;
+          Alcotest.test_case "random:40:5 report pinned" `Quick test_report_pinned;
         ] );
     ]
