@@ -6,7 +6,6 @@ type t = {
   beta : Is.t;
   label : Is.t;
   seen_alpha : Is.t;
-  sent : Is.t;
   size : int;
 }
 
@@ -32,7 +31,6 @@ let create ~out_degree =
     beta = Is.empty;
     label = Is.empty;
     seen_alpha = Is.empty;
-    sent = Is.empty;
     size = size_of ~alpha ~beta:Is.empty ~label:Is.empty ~seen_alpha:Is.empty;
   }
 
@@ -59,7 +57,7 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
     let size = resize state.size state.beta beta in
     let size = resize size state.label label in
     let size = resize size state.seen_alpha seen_alpha in
-    ({ state with initialized; beta; label; seen_alpha; sent = label; size }, [])
+    ({ state with initialized; beta; label; seen_alpha; size }, [])
   end
   else if (not state.initialized) && not (Is.is_empty alpha') then begin
     (* First real commodity: canonical partition (Definition 4.1). *)
@@ -79,9 +77,8 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
       List.init d (fun port ->
           { port; d_alpha = port_parts.(port); d_beta })
     in
-    (* Label and port parts partition alpha', so all of it counts as sent. *)
+    (* Label and port parts partition alpha' = seen_alpha. *)
     ( { initialized = true; alpha = port_parts; beta; label; seen_alpha;
-        sent = alpha';
         size = size_of ~alpha:port_parts ~beta ~label ~seen_alpha },
       sends )
   end
@@ -94,10 +91,12 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
     ({ state with beta; seen_alpha; size }, beta_flood_sends d d_beta)
   end
   else begin
-    (* Initialized: unseen alpha continues on the last port; already-sent
-       alpha is a detected cycle and joins beta (Section 4's f). *)
-    let new_alpha = Is.diff alpha' state.sent in
-    let cycles = Is.inter alpha' state.sent in
+    (* Initialized: unseen alpha continues on the last port; already-seen
+       alpha is a detected cycle and joins beta (Section 4's f).  At an
+       internal vertex everything seen has been passed on, so [seen_alpha]
+       is exactly the label plus every port's alpha. *)
+    let new_alpha = Is.diff alpha' state.seen_alpha in
+    let cycles = Is.inter alpha' state.seen_alpha in
     let beta = Is.union (Is.union state.beta beta') cycles in
     let d_beta = Is.diff beta state.beta in
     let last = d - 1 in
@@ -111,18 +110,16 @@ let step ~assign_label state ~alpha:alpha' ~beta:beta' =
         List.init d (fun port ->
             { port; d_alpha = (if port = last then new_alpha else Is.empty); d_beta })
     in
-    let sent = Is.union state.sent new_alpha in
     let size = resize state.size state.alpha.(last) alpha.(last) in
     let size = resize size state.beta beta in
     let size = resize size state.seen_alpha seen_alpha in
-    ({ state with alpha; beta; seen_alpha; sent; size }, sends)
+    ({ state with alpha; beta; seen_alpha; size }, sends)
   end
 
 (* Canonical fingerprint for the model checker: every field is behavioral
-   ([alpha] gates cycle detection, [seen_alpha] only feeds [covered] at
-   absorbing vertices but is cheap and keeps the digest obviously
-   injective).  [Is.to_string] prints the normal form, so equal sets print
-   equally. *)
+   ([seen_alpha] gates cycle detection at internal vertices and feeds
+   [covered] at absorbing ones; [alpha] is what the next arrival extends).
+   [Is.to_string] prints the normal form, so equal sets print equally. *)
 let digest state =
   let c = Runtime.Canonical.create () in
   Runtime.Canonical.add_bool c state.initialized;
@@ -160,12 +157,14 @@ let invariant ?prev state =
         && Is.subset p.seen_alpha state.seen_alpha
         && (p.initialized <= state.initialized)
   in
-  let sent_exact =
-    Is.equal state.sent (Array.fold_left Is.union state.label state.alpha)
+  let seen_exact =
+    d = 0
+    || Is.equal state.seen_alpha
+         (Array.fold_left Is.union state.label state.alpha)
   in
   let size_exact =
     state.size
     = size_of ~alpha:state.alpha ~beta:state.beta ~label:state.label
         ~seen_alpha:state.seen_alpha
   in
-  pairwise_disjoint && sent_exact && size_exact && monotone
+  pairwise_disjoint && seen_exact && size_exact && monotone

@@ -22,11 +22,11 @@ type t = {
   alpha : Intervals.Iset.t array;  (** Per out-port, length = out-degree. *)
   beta : Intervals.Iset.t;
   label : Intervals.Iset.t;  (** Empty unless labeling mode initialized. *)
-  seen_alpha : Intervals.Iset.t;  (** Union of every received alpha. *)
-  sent : Intervals.Iset.t;
-      (** [label] union every [alpha.(j)]: the alpha this vertex has already
-          passed on, against which an arrival is split into new alpha and
-          detected cycle.  Derived, kept incrementally. *)
+  seen_alpha : Intervals.Iset.t;
+      (** Union of every received alpha.  At an internal vertex it equals
+          [label] union every [alpha.(j)] (everything seen was passed on),
+          and an arrival is split against it into new alpha and detected
+          cycle. *)
   size : int;
       (** {!size_bits}: the encoded size of [alpha], [beta], [label] and
           [seen_alpha] plus 8 flag bits.  Derived, kept incrementally:
@@ -67,6 +67,7 @@ val digest : t -> string
 
 val invariant : ?prev:t -> t -> bool
 (** Structural invariants: [alpha.(j)] pairwise disjoint and disjoint from
-    the label; [sent] equal to the label union every [alpha.(j)]; [size]
+    the label; at out-degree > 0, [seen_alpha] equal to the label union
+    every [alpha.(j)]; [size]
     equal to the size summed from scratch; with
     [?prev], state-monotonicity w.r.t. that earlier state. *)

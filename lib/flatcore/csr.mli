@@ -2,7 +2,7 @@
 
     [of_digraph] is O(n + m) and is meant to run {e once} per graph (the
     serving layer compiles its preloaded graphs at boot); every accessor
-    below is a constant number of int loads.  The dense edge numbering is
+    below is O(1), and all but [in_degree] are int loads from the arrays.  The dense edge numbering is
     identical to {!Digraph.edge_index}, so per-edge arrays, fault plans and
     replay schedules are interchangeable between the classic and flat
     engines. *)
@@ -17,8 +17,6 @@ type t = private {
   head : int array;  (** Per dense edge: target vertex. *)
   tgt_port : int array;  (** Per dense edge: in-port at the target. *)
   src : int array;  (** Per dense edge: source vertex. *)
-  in_row : int array;  (** [n+1] offsets into [in_edge]. *)
-  in_edge : int array;  (** Per (vertex, in-port): the dense edge index. *)
 }
 
 val of_digraph : Digraph.t -> t

@@ -9,15 +9,14 @@
    [test/test_flatcore.ml] property-tests across protocols x graph
    families x faults x vfaults x churn x schedulers.
 
-   Only the layout lives here.  The scheduler pools ([E.pool]), every copy
-   and vertex fate with the states, checkpoints and fault counters
-   ([E.Fate]), the lineage journal and the telemetry are shared with the
-   classic engine.  What differs: targets resolve through the CSR arrays;
-   a message is encoded once per physically-distinct value at send time
-   (a pointer-equality memo catches a protocol re-sending one value on
-   every port) into a bump arena, so a delivery charges bits and dedups
-   symbols with two int loads and a byte flag instead of an encode, a key
-   string and a table probe; and the flood fast path keeps the whole
+   Only the layout lives here.  The generic path is the classic engine's
+   own delivery loop ([E.Make.deliver]: pools, fates, hooks, journal and
+   telemetry), handed the CSR arrays as its edge tables and the arena as
+   its wire: a message is encoded once per physically-distinct value at
+   send time (a pointer-equality memo catches a protocol re-sending one
+   value on every port) into a bump arena, so a delivery charges bits and
+   dedups symbols with two int loads and a byte flag instead of an encode,
+   a key string and a table probe.  The flood fast path keeps the whole
    in-flight pool as one int array of edge indices. *)
 
 module E = Runtime.Engine
@@ -25,7 +24,6 @@ module Scheduler = Runtime.Scheduler
 module Faults = Runtime.Faults
 module Vfaults = Runtime.Vfaults
 module Churn = Runtime.Churn
-module Binheap = Runtime.Binheap
 
 (* {1 The message arena}
 
@@ -97,21 +95,7 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
   type state = P.state
   type message = P.message
 
-  module Fate = E.Fate (P)
-
-  (* A copy in flight.  [fv/fp/tv/tp] of the classic flight are all
-     recoverable from [edge] via the CSR arrays, so only the scheduling
-     identity, the fault bit, the causal parent ([lp], as in the classic
-     flight), the protocol value (for [receive]) and the arena slot (for
-     everything charged by wire size) travel. *)
-  type flight = {
-    seq : int;
-    edge : int;
-    corrupt : bool;
-    lp : int;
-    msg : P.message;
-    slot : int;
-  }
+  module Loop = E.Make (P)
 
   (* {1 The flood certificate}
 
@@ -397,43 +381,16 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
 
   (* {1 The generic path}
 
-     The classic engine's delivery loop over the flat layout: the same
-     shared pool, fates and telemetry, in the same order, with targets
-     resolved through the CSR arrays and wire sizes through the arena
-     instead of a per-delivery encode. *)
-  let run_generic csr ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
-      ~churn ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop
-      ~on_undelivered () =
-    let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
-    let n = Csr.n_vertices csr in
-    let ne = Csr.n_edges csr in
-    let journal = E.journal lineage ~n_vertices:n ~n_edges:ne in
-    (* Same causal-context discipline as the classic engine: 0 outside a
-       receive's send burst. *)
-    let lin_parent = ref 0 in
-    let t = Csr.terminal csr in
-    let row = csr.Csr.row
-    and head_arr = csr.Csr.head
-    and tgt_port = csr.Csr.tgt_port
-    and src = csr.Csr.src in
-    let fate =
-      Fate.start ~oh ~faults ~vfaults ~churn ~supervisor ~n_vertices:n
-        ~n_edges:ne ~out_degree:(Csr.out_degree csr)
-        ~in_degree:(Csr.in_degree csr)
-    in
-    let states = Fate.states fate in
-    let edge_messages = Array.make (Stdlib.max ne 1) 0 in
-    let edge_bits = Array.make (Stdlib.max ne 1) 0 in
-    let total_bits = ref 0 in
-    let max_message_bits = ref 0 in
-    let deliveries = ref 0 in
+     The arena as the shared loop's wire: the slot is resolved at send, so
+     a crossing reads its bit length and marks its symbol with no encode. *)
+  let arena_wire () =
     let arena = arena_create () in
     (* Encode-once memo: protocols overwhelmingly re-send one physical
        message value (flood's token, a just-built commodity fanned over
        every port), so most sends resolve their slot with one pointer
        compare. *)
     let memo : (P.message * int) option ref = ref None in
-    let slot_of msg =
+    let slot msg =
       match !memo with
       | Some (m, s) when m == msg -> s
       | _ ->
@@ -453,210 +410,14 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
           memo := Some (msg, slot);
           slot
     in
-    let push, pop, drain =
-      E.pool scheduler ~seq:(fun f -> f.seq) ~edge:(fun f -> f.edge)
-    in
-    let delayed : (int * int, flight) Binheap.t = Binheap.create () in
-    let next_seq = ref 0 in
-    let in_flight = ref 0 in
-    let max_in_flight = ref 0 in
-    let entered = ref 0 in
-    let enter f ~delay =
-      incr in_flight;
-      incr entered;
-      if !in_flight > !max_in_flight then max_in_flight := !in_flight;
-      if delay = 0 then push f
-      else Binheap.push delayed (!deliveries + delay, f.seq) f
-    in
-    let until_sample =
-      ref (match oh with Some h -> h.E.oh_sample_every | None -> max_int)
-    in
-    let time_receive = ref false in
-    let obs_sample h =
-      E.sample_obs h ~in_flight:!in_flight ~n_visited:(Fate.n_visited fate)
-        ~residual:(!entered - !deliveries - !in_flight)
-        ~deliveries:!deliveries ~total_bits:!total_bits
-    in
-    let send ?(extra_delay = 0) fv fp msg =
-      let edge = row.(fv) + fp in
-      let copies = Fate.copies fate ~edge msg in
-      let slot = slot_of msg and lp = !lin_parent in
-      List.iter
-        (fun ({ delay; flip_bit = corrupt } : Faults.copy_fate) ->
-          enter
-            { seq = !next_seq; edge; corrupt; lp; msg; slot }
-            ~delay:(delay + extra_delay);
-          incr next_seq)
-        copies
-    in
-    let retransmit () =
-      Fate.retransmit fate
-        ~source:(fun e -> src.(e))
-        ~send:(fun ~extra_delay e msg ->
-          send ~extra_delay src.(e) (e - row.(src.(e))) msg)
-    in
-    let release_due () =
-      let continue = ref true in
-      while !continue do
-        match Binheap.peek delayed with
-        | Some ((release, _), _) when release <= !deliveries -> (
-            match Binheap.pop delayed with
-            | Some (_, f) -> push f
-            | None -> continue := false)
-        | _ -> continue := false
-      done
-    in
-    (match oh with
-    | Some h -> Obs.Timeline.begin_span h.E.oh_timeline ~track:0 "engine.run"
-    | None -> ());
-    let se = Csr.source csr in
-    List.iter
-      (fun (j, msg) -> send se j msg)
-      (P.root_emit ~out_degree:(Csr.out_degree csr se));
-    Fate.mark_visited fate se;
-    let outcome = ref E.Quiescent in
-    let running = ref true in
-    while !running do
-      if !deliveries >= step_limit then begin
-        outcome := E.Step_limit;
-        running := false
-      end
-      else if stop_now () then begin
-        outcome := E.Cancelled;
-        running := false
-      end
-      else begin
-        release_due ();
-        match pop () with
-        | None -> (
-            match Binheap.pop delayed with
-            | Some (_, f) -> push f
-            | None ->
-                if P.accepting states.(t) then begin
-                  outcome := E.Terminated;
-                  running := false
-                end
-                else if retransmit () then ()
-                else begin
-                  outcome := E.Quiescent;
-                  running := false
-                end)
-        | Some f -> (
-            incr deliveries;
-            decr in_flight;
-            E.journal_pop journal ~edge:f.edge ~parent:f.lp;
-            (match on_pop with Some hook -> hook f.seq | None -> ());
-            match Fate.offer fate ~edge:f.edge with
-            | Churn.Cross ->
-                let length_bits = arena.len_bits.(f.slot) in
-                let bits = length_bits + payload_bits in
-                (match oh with
-                | Some h ->
-                    Obs.Registry.incr h.E.c_deliveries;
-                    Obs.Registry.add h.E.c_bits bits;
-                    Obs.Registry.observe h.E.h_message_bits bits;
-                    decr until_sample;
-                    if !until_sample <= 0 then begin
-                      until_sample := h.E.oh_sample_every;
-                      time_receive := true;
-                      obs_sample h
-                    end
-                | None -> ());
-                if verify_codec then
-                  Fate.verify ~length_bits (arena_string arena f.slot) f.msg;
-                arena_mark_seen arena f.slot;
-                total_bits := !total_bits + bits;
-                edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
-                edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
-                if bits > !max_message_bits then max_message_bits := bits;
-                let tv = head_arr.(f.edge) in
-                if Fate.arrive fate ~vertex:tv then begin
-                  let delivered =
-                    if not f.corrupt then Some f.msg
-                    else
-                      Fate.corrupt fate ~edge:f.edge ~length_bits
-                        (arena_string arena f.slot) f.msg
-                  in
-                  match delivered with
-                  | None -> ()
-                  | Some msg ->
-                      let tp = tgt_port.(f.edge) in
-                      (match on_deliver with
-                      | Some hook ->
-                          let fv = src.(f.edge) in
-                          hook
-                            {
-                              E.step = !deliveries;
-                              seq = f.seq;
-                              from_vertex = fv;
-                              from_port = f.edge - row.(fv);
-                              to_vertex = tv;
-                              to_port = tp;
-                              bits;
-                            }
-                            msg
-                      | None -> ());
-                      Fate.mark_visited fate tv;
-                      let state', sends =
-                        Fate.receive fate ~vertex:tv ~in_port:tp
-                          ~timed:!time_receive msg
-                      in
-                      time_receive := false;
-                      lin_parent := !deliveries;
-                      List.iter (fun (j, msg) -> send tv j msg) sends;
-                      lin_parent := 0;
-                      if tv = t && P.accepting state' then begin
-                        outcome := E.Terminated;
-                        running := false
-                      end
-                end
-            | cfate -> (
-                match oh with
-                | None -> ()
-                | Some h ->
-                    Obs.Registry.incr h.E.c_deliveries;
-                    decr until_sample;
-                    if !until_sample <= 0 then begin
-                      until_sample := h.E.oh_sample_every;
-                      obs_sample h
-                    end;
-                    Fate.mark_churn fate ~edge:f.edge cfate))
-      end
-    done;
-    (match on_undelivered with
-    | None -> ()
-    | Some hook ->
-        List.iter (fun f -> hook f.msg) (drain ());
-        let continue = ref true in
-        while !continue do
-          match Binheap.pop delayed with
-          | Some (_, f) -> hook f.msg
-          | None -> continue := false
-        done);
-    E.journal_close journal ~heads:head_arr;
-    let fault_stats, vfault_stats, churn_stats = Fate.finish fate in
-    (match oh with
-    | Some h ->
-        obs_sample h;
-        Obs.Timeline.end_span h.E.oh_timeline ~track:0 "engine.run"
-    | None -> ());
     {
-      E.outcome = !outcome;
-      deliveries = !deliveries;
-      total_bits = !total_bits;
-      max_edge_bits = Array.fold_left Stdlib.max 0 edge_bits;
-      max_message_bits = !max_message_bits;
-      max_state_bits = Fate.max_state_bits fate;
-      max_in_flight = !max_in_flight;
-      final_in_flight = !in_flight;
-      distinct_messages = arena.distinct;
-      edge_messages;
-      edge_bits;
-      visited = Fate.visited fate;
-      states;
-      fault_stats;
-      vfault_stats;
-      churn_stats;
+      E.slot;
+      cross =
+        (fun slot _ ->
+          arena_mark_seen arena slot;
+          arena.len_bits.(slot));
+      encoding = (fun slot _ -> arena_string arena slot);
+      distinct = (fun () -> arena.distinct);
     }
 
   let run_csr ?(scheduler = Scheduler.Fifo) ?(payload_bits = 0)
@@ -677,9 +438,17 @@ module Make (P : Runtime.Protocol_intf.PROTOCOL) = struct
       | Some (m0, emits) ->
           run_flood csr ~payload_bits ~step_limit ~stop ~oh ~lineage m0 emits
       | None ->
-          run_generic csr ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
+          Loop.deliver ~scheduler ~payload_bits ~step_limit ~faults ~vfaults
             ~churn ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver
-            ~on_pop ~on_undelivered ()
+            ~on_pop ~on_undelivered
+            ~edges:
+              {
+                E.row = csr.Csr.row;
+                head = csr.Csr.head;
+                tport = csr.Csr.tgt_port;
+                src = csr.Csr.src;
+              }
+            ~wire:(arena_wire ()) (Csr.digraph csr)
     in
     E.gc_finish obs gc0;
     report

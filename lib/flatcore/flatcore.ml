@@ -1,26 +1,19 @@
 (** The flat core: CSR graph compilation and the arena-message engine.
 
-    - {!Csr} — six-int-array compressed-sparse-row compilation of a
+    - {!Csr} — four-int-array compressed-sparse-row compilation of a
       {!Digraph.t}, built once per graph, with the dense edge numbering of
       [Digraph.edge_index];
-    - {!Graph} — {!Digraph.Graph_sig.S} over the CSR form (hot accessors
-      flat, structure queries delegated);
     - {!Engine} — an {!Runtime.Engine_sig.S}-conforming engine whose
       reports and deterministic Obs counters are byte-for-byte identical
-      to {!Runtime.Engine}, built on preallocated per-edge structures, an
-      arena of encoded message slots, and a probe-certified fast path for
-      flood-shaped protocols.
+      to {!Runtime.Engine}: its generic path is the classic engine's own
+      delivery loop over the CSR arrays and an arena of encoded message
+      slots, and a probe-certified fast path runs flood-shaped protocols.
 
     Engine selection is a value of {!type:kind}; the CLI and the serving
     layer thread it through an [--engine] knob. *)
 
 module Csr = Csr
-module Graph = Flat_graph
 module Engine = Engine
-
-(* The flat graph must answer every query exactly like the pointer
-   representation — same signature, checked here once and forever. *)
-module _ : Digraph.Graph_sig.S with type t = Csr.t = Flat_graph
 
 type kind = Classic | Flat
 

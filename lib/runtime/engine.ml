@@ -163,11 +163,14 @@ let obs_hooks (o : Obs.t) =
 
 (* {1 Code shared by both engines}
 
-   Everything below up to [Make] is the part of a run that does not depend
-   on how the graph and the in-flight copies are laid out: the scheduler
-   pools, the fate of every copy and vertex, and the run telemetry.  The
-   classic engine ([Make]) and [Flatcore.Engine] both call it, so a fault
-   rule, counter or bugfix lands once. *)
+   Everything from here on is the part of a run that does not depend on
+   how the graph and the in-flight copies are laid out: the scheduler
+   pools, the fate of every copy and vertex, the run telemetry and the
+   delivery loop ([Make.deliver]) that drives them.  The classic engine
+   ([Make.run]) and [Flatcore.Engine]'s generic path both run that loop,
+   so a scheduling, fate or telemetry rule, counter or bugfix lands once;
+   the engines differ only in the edge tables and the wire accounting they
+   hand it. *)
 
 (* In-flight message pool, specialized per scheduling policy.  Returns
    (push, pop, drain): [drain] empties the pool and returns whatever was
@@ -345,6 +348,11 @@ let flip_bit s b =
     (Char.chr (Char.code (Bytes.get bytes i) lxor (1 lsl (7 - (b mod 8)))));
   Bytes.to_string bytes
 
+(* A run's fate state: vertex states, visited flags, checkpoints, the
+   supervisor's retransmission state, the fault, vertex-fault and churn
+   instances and every fault counter.  Each operation applies one rule and
+   updates its [engine.*] Obs cells.  Per popped copy the order is [offer]
+   (churn), then [arrive] (vertex fault), then [corrupt]. *)
 module Fate (P : Protocol_intf.PROTOCOL) = struct
   type t = {
     oh : obs_hooks option;
@@ -451,6 +459,8 @@ module Fate (P : Protocol_intf.PROTOCOL) = struct
 
   let clean = [ { Faults.delay = 0; flip_bit = false } ]
 
+  (* The copies one send puts on [edge] (one clean copy without edge
+     faults); remembers [msg] for retransmission. *)
   let copies t ~edge msg =
     bump t (fun h -> h.c_sends);
     if t.supervised then t.last_msg.(edge) <- Some msg;
@@ -481,6 +491,8 @@ module Fate (P : Protocol_intf.PROTOCOL) = struct
     | Some h -> Obs.Registry.add h.c_lost_state_bits bits
     | None -> ()
 
+  (* [true] if the delivery reaches [P.receive]; otherwise it stuttered,
+     hit a down vertex, or crashed it (recovery applied here). *)
   let arrive t ~vertex:v =
     (not t.vfaulty)
     ||
@@ -527,6 +539,8 @@ module Fate (P : Protocol_intf.PROTOCOL) = struct
             if t.ckpt_visited.(v) then mark_visited t v else unvisit t v);
         false
 
+  (* Decode the encoding with the edge's drawn bit flipped; [None] on a
+     checksum reject or a garble. *)
   let corrupt t ~edge ~length_bits enc msg =
     if length_bits = 0 then Some msg
     else
@@ -602,6 +616,8 @@ module Fate (P : Protocol_intf.PROTOCOL) = struct
     end;
     result
 
+  (* One supervisor round, if armed and rounds remain: re-[send] each
+     edge's last message whose [source] is up; [true] if any was. *)
   let retransmit t ~source ~send =
     match t.supervisor with
     | Some cfg when t.retries_left > 0 ->
@@ -677,38 +693,76 @@ module Fate (P : Protocol_intf.PROTOCOL) = struct
     (fault_stats, vfault_stats, churn_stats)
 end
 
+(* {1 The delivery loop}
+
+   The two engines differ only in how a dense edge resolves to its
+   endpoints ([edge_tables]) and in how a copy's wire size and symbol are
+   found ([wire]); [Make.deliver] is the one loop both run. *)
+
+type edge_tables = {
+  row : int array;
+  head : int array;
+  tport : int array;
+  src : int array;
+}
+
+type 'm wire = {
+  slot : 'm -> int;
+  cross : int -> 'm -> int;
+  encoding : int -> 'm -> string;
+  distinct : unit -> int;
+}
+
+(* Walk the in-adjacency: [in_origin] and [edge_index] are O(1), so the
+   tables cost O(n + m), not the O(m * in_degree) port search of
+   [out_port_target_port].  [row.(u)] is [u]'s port-0 edge index, so
+   [row.(u) + j] is [Digraph.edge_index g u j] for every out-port [j]. *)
+let edge_tables g =
+  let n = Digraph.n_vertices g and ne = Digraph.n_edges g in
+  let row = Array.make (n + 1) ne in
+  let head = Array.make ne 0 and tport = Array.make ne 0 in
+  let src = Array.make ne 0 in
+  for v = 0 to n - 1 do
+    row.(v) <- Digraph.edge_index g v 0;
+    for i = 0 to Digraph.in_degree g v - 1 do
+      let u, j = Digraph.in_origin g v i in
+      let e = Digraph.edge_index g u j in
+      head.(e) <- v;
+      tport.(e) <- i;
+      src.(e) <- u
+    done
+  done;
+  { row; head; tport; src }
+
 module Make (P : Protocol_intf.PROTOCOL) = struct
   type state = P.state
   type message = P.message
 
   module Fate = Fate (P)
 
+  (* A copy in flight: its endpoints are recoverable from [edge] through
+     the edge tables, so only the scheduling identity, the fault bit, the
+     causal parent, the protocol value and the wire slot travel. *)
   type flight = {
     seq : int;
-    fv : Digraph.vertex;
-    fp : int;
-    tv : Digraph.vertex;
-    tp : int;
     edge : int;
     corrupt : bool;
     (* Causal provenance: the lineage node id of the receive that caused
        this send (0 = root emission or supervisor retransmission). *)
     lp : int;
     msg : P.message;
+    slot : int;
   }
 
-  let run ?(scheduler = Scheduler.Fifo) ?(payload_bits = 0)
-      ?(step_limit = 10_000_000) ?(faults = Faults.none)
-      ?(vfaults = Vfaults.none) ?(churn = Churn.none) ?supervisor
-      ?(verify_codec = false) ?stop ?obs ?lineage ?on_deliver ?on_pop
-      ?on_undelivered g =
+  let deliver ~scheduler ~payload_bits ~step_limit ~faults ~vfaults ~churn
+      ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop
+      ~on_undelivered ~edges ~(wire : P.message wire) g =
     (* Cooperative cancellation: polled between deliveries, so a [true]
        stops the run at a message boundary with the accounting intact
        (undelivered copies stay counted in [final_in_flight] and reach
        [on_undelivered], exactly as under [Step_limit]). *)
     let stop_now = match stop with None -> (fun () -> false) | Some f -> f in
-    let oh = Option.map obs_hooks obs in
-    let gc0 = gc_start obs in
+    let { row; head; tport; src } = edges in
     let n = Digraph.n_vertices g in
     let ne = Digraph.n_edges g in
     let journal = journal lineage ~n_vertices:n ~n_edges:ne in
@@ -717,20 +771,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
        emissions and supervisor retransmissions start fresh chains. *)
     let lin_parent = ref 0 in
     let t = Digraph.terminal g in
-    (* Dense edge -> target vertex and target in-port, filled by walking
-       the in-adjacency: [in_origin] and [edge_index] are O(1), so the
-       tables cost O(n + m) — not the O(m * in_degree) port search of
-       [out_port_target_port]. *)
-    let head = Array.make (Stdlib.max ne 1) 0 in
-    let tport = Array.make (Stdlib.max ne 1) 0 in
-    for v = 0 to n - 1 do
-      for i = 0 to Digraph.in_degree g v - 1 do
-        let u, j = Digraph.in_origin g v i in
-        let e = Digraph.edge_index g u j in
-        head.(e) <- v;
-        tport.(e) <- i
-      done
-    done;
     let fate =
       Fate.start ~oh ~faults ~vfaults ~churn ~supervisor ~n_vertices:n
         ~n_edges:ne ~out_degree:(Digraph.out_degree g)
@@ -742,7 +782,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     let total_bits = ref 0 in
     let max_message_bits = ref 0 in
     let deliveries = ref 0 in
-    let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
     let push, pop, drain =
       pool scheduler ~seq:(fun f -> f.seq) ~edge:(fun f -> f.edge)
     in
@@ -776,29 +815,23 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         ~residual:(!entered - !deliveries - !in_flight)
         ~deliveries:!deliveries ~total_bits:!total_bits
     in
-    let send ?(extra_delay = 0) fv fp msg =
-      let edge = Digraph.edge_index g fv fp in
-      let tv = head.(edge) and tp = tport.(edge) and lp = !lin_parent in
+    let send ~extra_delay edge msg =
+      let copies = Fate.copies fate ~edge msg in
+      let slot = wire.slot msg and lp = !lin_parent in
       List.iter
         (fun ({ delay; flip_bit = corrupt } : Faults.copy_fate) ->
           enter
-            { seq = !next_seq; fv; fp; tv; tp; edge; corrupt; lp; msg }
+            { seq = !next_seq; edge; corrupt; lp; msg; slot }
             ~delay:(delay + extra_delay);
           incr next_seq)
-        (Fate.copies fate ~edge msg)
+        copies
     in
     (* One retransmission round: re-send the last message of every edge
        whose source is still healthy, held back by the round's backoff.
        Retransmitted copies run the same per-edge fault gauntlet as
        originals, and a {!Redundant}-wrapped receiver dedups them by wire
        encoding. *)
-    let retransmit () =
-      Fate.retransmit fate
-        ~source:(fun e -> fst (Digraph.edge_of_index g e))
-        ~send:(fun ~extra_delay e msg ->
-          let fv, fp = Digraph.edge_of_index g e in
-          send ~extra_delay fv fp msg)
-    in
+    let retransmit () = Fate.retransmit fate ~source:(fun e -> src.(e)) ~send in
     (* Move every delay-expired copy back into the scheduler's pool. *)
     let release_due () =
       let continue = ref true in
@@ -815,10 +848,11 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
     | Some h -> Obs.Timeline.begin_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
     (* The root spontaneously emits sigma0. *)
+    let s = Digraph.source g in
     List.iter
-      (fun (j, msg) -> send (Digraph.source g) j msg)
-      (P.root_emit ~out_degree:(Digraph.out_degree g (Digraph.source g)));
-    Fate.mark_visited fate (Digraph.source g);
+      (fun (j, msg) -> send ~extra_delay:0 (row.(s) + j) msg)
+      (P.root_emit ~out_degree:(Digraph.out_degree g s));
+    Fate.mark_visited fate s;
     let outcome = ref Quiescent in
     let running = ref true in
     while !running do
@@ -872,9 +906,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
             match Fate.offer fate ~edge:f.edge with
             | Churn.Cross ->
                 (* Charge the exact wire size. *)
-                let w = Bitio.Bit_writer.create () in
-                P.encode w f.msg;
-                let length_bits = Bitio.Bit_writer.length w in
+                let length_bits = wire.cross f.slot f.msg in
                 let bits = length_bits + payload_bits in
                 (match oh with
                 | Some h ->
@@ -889,11 +921,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                     end
                 | None -> ());
                 if verify_codec then
-                  Fate.verify ~length_bits (Bitio.Bit_writer.to_string w) f.msg;
-                let key =
-                  string_of_int length_bits ^ ":" ^ Bitio.Bit_writer.to_string w
-                in
-                if not (Hashtbl.mem seen key) then Hashtbl.add seen key ();
+                  Fate.verify ~length_bits (wire.encoding f.slot f.msg) f.msg;
                 total_bits := !total_bits + bits;
                 edge_messages.(f.edge) <- edge_messages.(f.edge) + 1;
                 edge_bits.(f.edge) <- edge_bits.(f.edge) + bits;
@@ -904,40 +932,46 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
                    but never reaches [P.receive] — and skips the corrupt-bit
                    draw, since nobody observes the flipped encoding.  A
                    corrupted copy flows through the real decode path. *)
-                if Fate.arrive fate ~vertex:f.tv then begin
+                let tv = head.(f.edge) in
+                if Fate.arrive fate ~vertex:tv then begin
                   let delivered =
                     if not f.corrupt then Some f.msg
                     else
                       Fate.corrupt fate ~edge:f.edge ~length_bits
-                        (Bitio.Bit_writer.to_string w) f.msg
+                        (wire.encoding f.slot f.msg) f.msg
                   in
                   match delivered with
                   | None -> ()
                   | Some msg ->
+                      let tp = tport.(f.edge) in
                       (match on_deliver with
                       | Some hook ->
+                          let fv = src.(f.edge) in
                           hook
                             {
                               step = !deliveries;
                               seq = f.seq;
-                              from_vertex = f.fv;
-                              from_port = f.fp;
-                              to_vertex = f.tv;
-                              to_port = f.tp;
+                              from_vertex = fv;
+                              from_port = f.edge - row.(fv);
+                              to_vertex = tv;
+                              to_port = tp;
                               bits;
                             }
                             msg
                       | None -> ());
-                      Fate.mark_visited fate f.tv;
+                      Fate.mark_visited fate tv;
                       let state', sends =
-                        Fate.receive fate ~vertex:f.tv ~in_port:f.tp
+                        Fate.receive fate ~vertex:tv ~in_port:tp
                           ~timed:!time_receive msg
                       in
                       time_receive := false;
                       lin_parent := !deliveries;
-                      List.iter (fun (j, msg) -> send f.tv j msg) sends;
+                      let base = row.(tv) in
+                      List.iter
+                        (fun (j, msg) -> send ~extra_delay:0 (base + j) msg)
+                        sends;
                       lin_parent := 0;
-                      if f.tv = t && P.accepting state' then begin
+                      if tv = t && P.accepting state' then begin
                         outcome := Terminated;
                         running := false
                       end
@@ -974,7 +1008,6 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
         obs_sample h;
         Obs.Timeline.end_span h.oh_timeline ~track:0 "engine.run"
     | None -> ());
-    gc_finish obs gc0;
     {
       outcome = !outcome;
       deliveries = !deliveries;
@@ -984,7 +1017,7 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       max_state_bits = Fate.max_state_bits fate;
       max_in_flight = !max_in_flight;
       final_in_flight = !in_flight;
-      distinct_messages = Hashtbl.length seen;
+      distinct_messages = wire.distinct ();
       edge_messages;
       edge_bits;
       visited = Fate.visited fate;
@@ -993,4 +1026,40 @@ module Make (P : Protocol_intf.PROTOCOL) = struct
       vfault_stats;
       churn_stats;
     }
+
+  (* The reference wire: every crossing encodes its message afresh and
+     records the symbol under its length-and-bytes key — the independent
+     oracle for the flat engine's arena. *)
+  let encoding_wire () =
+    let seen : (string, unit) Hashtbl.t = Hashtbl.create 64 in
+    let last = ref "" in
+    {
+      slot = (fun _ -> 0);
+      cross =
+        (fun _ msg ->
+          let w = Bitio.Bit_writer.create () in
+          P.encode w msg;
+          let length_bits = Bitio.Bit_writer.length w in
+          last := Bitio.Bit_writer.to_string w;
+          let key = string_of_int length_bits ^ ":" ^ !last in
+          if not (Hashtbl.mem seen key) then Hashtbl.add seen key ();
+          length_bits);
+      encoding = (fun _ _ -> !last);
+      distinct = (fun () -> Hashtbl.length seen);
+    }
+
+  let run ?(scheduler = Scheduler.Fifo) ?(payload_bits = 0)
+      ?(step_limit = 10_000_000) ?(faults = Faults.none)
+      ?(vfaults = Vfaults.none) ?(churn = Churn.none) ?supervisor
+      ?(verify_codec = false) ?stop ?obs ?lineage ?on_deliver ?on_pop
+      ?on_undelivered g =
+    let oh = Option.map obs_hooks obs in
+    let gc0 = gc_start obs in
+    let report =
+      deliver ~scheduler ~payload_bits ~step_limit ~faults ~vfaults ~churn
+        ~supervisor ~verify_codec ~stop ~oh ~lineage ~on_deliver ~on_pop
+        ~on_undelivered ~edges:(edge_tables g) ~wire:(encoding_wire ()) g
+    in
+    gc_finish obs gc0;
+    report
 end

@@ -183,25 +183,6 @@ val obs_hooks : Obs.t -> obs_hooks
 (** Resolve (registering on first use) every cell against the sink's
     registry. *)
 
-(** {1 Code shared by both engines}
-
-    Everything a run does that is independent of how an engine lays out
-    the graph and the copies in flight.  {!Make} and [Flatcore.Engine]
-    both call it, so each scheduling policy, fate rule, fault counter and
-    telemetry series is written once. *)
-
-val pool :
-  Scheduler.t ->
-  seq:('f -> int) ->
-  edge:('f -> int) ->
-  ('f -> unit) * (unit -> 'f option) * (unit -> 'f list)
-(** [(push, pop, drain)] of a policy's in-flight pool, over any flight
-    type: [seq] reads a copy's global send number, [edge] its dense edge.
-    [drain] empties the pool and returns what it held.  Under [Replay], a
-    listed seq not yet in flight makes [pop] report empty without
-    consuming it, so the engine can release delayed copies or retransmit
-    and retry. *)
-
 val sample_obs :
   obs_hooks ->
   in_flight:int ->
@@ -221,83 +202,35 @@ val gc_finish : Obs.t option -> gc_mark -> unit
 (** Set the [engine.gc.*] gauges for the run since [gc_start] and mirror
     the timeline ring's overwrite count into [timeline.dropped]. *)
 
-type journal
-(** A run's lineage pop journal, handed over by {!Obs.Lineage.note_journal}. *)
+(** {1 The delivery loop}
 
-val journal : Obs.Lineage.t option -> n_vertices:int -> n_edges:int -> journal
-val journal_pop : journal -> edge:int -> parent:int -> unit
-(** One consumed copy; [parent] is the run-local delivery number of the
-    receive that sent it (0 = root emission or retransmission). *)
+    {!Make.deliver} is the one discrete-event loop of both engines: the
+    scheduler pools, the delayed-copy heap, every copy and vertex fate
+    (churn, then vertex fault, then corruption), the supervisor's
+    retransmission rounds, the hooks, the lineage journal and the
+    telemetry.  An engine supplies only what depends on its layout: the
+    edge tables and the wire accounting. *)
 
-val journal_close : journal -> heads:int array -> unit
-(** [heads] maps a dense edge to its target vertex. *)
+type edge_tables = {
+  row : int array;
+      (** [n+1] entries: out-port [j] of [u] is dense edge [row.(u) + j]. *)
+  head : int array;  (** Per dense edge: target vertex. *)
+  tport : int array;  (** Per dense edge: in-port at the target. *)
+  src : int array;  (** Per dense edge: source vertex. *)
+}
 
-(** A run's fate state: vertex states, visited flags, checkpoints, the
-    supervisor's retransmission state, the fault, vertex-fault and churn
-    instances and every fault counter.  Each operation applies one rule
-    and updates its [engine.*] Obs cells.  Per popped copy the order is
-    [offer] (churn), then [arrive] (vertex fault), then [corrupt]. *)
-module Fate (P : Protocol_intf.PROTOCOL) : sig
-  type t
-
-  val start :
-    oh:obs_hooks option ->
-    faults:Faults.t ->
-    vfaults:Vfaults.t ->
-    churn:Churn.t ->
-    supervisor:Supervisor.config option ->
-    n_vertices:int ->
-    n_edges:int ->
-    out_degree:(int -> int) ->
-    in_degree:(int -> int) ->
-    t
-
-  val states : t -> P.state array
-  val visited : t -> bool array
-  val n_visited : t -> int
-  val max_state_bits : t -> int
-  val mark_visited : t -> int -> unit
-
-  val copies : t -> edge:int -> P.message -> Faults.copy_fate list
-  (** The copies one send puts on [edge] (one clean copy without edge
-      faults); remembers [msg] for retransmission. *)
-
-  val offer : t -> edge:int -> Churn.fate
-  val mark_churn : t -> edge:int -> Churn.fate -> unit
-
-  val arrive : t -> vertex:int -> bool
-  (** [true] if the delivery reaches [P.receive]; otherwise it stuttered,
-      hit a down vertex, or crashed it (recovery applied here). *)
-
-  val corrupt :
-    t -> edge:int -> length_bits:int -> string -> P.message -> P.message option
-  (** Decode the encoding with the edge's drawn bit flipped; [None] on a
-      checksum reject or a garble. *)
-
-  val verify : length_bits:int -> string -> P.message -> unit
-  (** Raise {!Codec_mismatch} unless the encoding decodes to [msg]. *)
-
-  val receive :
-    t ->
-    vertex:int ->
-    in_port:int ->
-    timed:bool ->
-    P.message ->
-    P.state * (int * P.message) list
-  (** Apply [P.receive] ([timed]: record its wall time), install the new
-      state and checkpoint it when the cadence is due. *)
-
-  val retransmit :
-    t ->
-    source:(int -> int) ->
-    send:(extra_delay:int -> int -> P.message -> unit) ->
-    bool
-  (** One supervisor round, if armed and rounds remain: re-[send] each
-      edge's last message whose [source] is up; [true] if any was. *)
-
-  val finish : t -> fault_stats * vertex_fault_stats * churn_stats
-  (** The stats records; folds instance totals into the Obs counters. *)
-end
+type 'm wire = {
+  slot : 'm -> int;
+      (** At send: the slot a copy of this message carries (any int the
+          other three understand). *)
+  cross : int -> 'm -> int;
+      (** At crossing: the copy's encoded length in bits; records its
+          symbol as seen on an edge. *)
+  encoding : int -> 'm -> string;
+      (** The encoded bytes of the copy [cross] just charged (codec
+          verification and corruption only). *)
+  distinct : unit -> int;  (** Distinct symbols recorded so far. *)
+}
 
 module Make (P : Protocol_intf.PROTOCOL) : sig
   type state = P.state
@@ -373,4 +306,31 @@ module Make (P : Protocol_intf.PROTOCOL) : sig
       delay-held) when the run stops — together with [states] this is the
       full final linear cut, so callers can evaluate a protocol's
       conservation law even on runs that terminate with messages pending. *)
+
+  val deliver :
+    scheduler:Scheduler.t ->
+    payload_bits:int ->
+    step_limit:int ->
+    faults:Faults.t ->
+    vfaults:Vfaults.t ->
+    churn:Churn.t ->
+    supervisor:Supervisor.config option ->
+    verify_codec:bool ->
+    stop:(unit -> bool) option ->
+    oh:obs_hooks option ->
+    lineage:Obs.Lineage.t option ->
+    on_deliver:(event -> P.message -> unit) option ->
+    on_pop:(int -> unit) option ->
+    on_undelivered:(P.message -> unit) option ->
+    edges:edge_tables ->
+    wire:P.message wire ->
+    Digraph.t ->
+    P.state report
+  (** The loop behind {!run}, over caller-supplied edge tables and wire
+      accounting.  [run] passes tables built from the {!Digraph.t} in
+      O(n + m) and a wire that encodes every crossing afresh and keys
+      symbols by their bytes; [Flatcore.Engine] passes its CSR arrays and
+      its message arena.  The {!Digraph.t} supplies the source, terminal
+      and degrees.  Takes no GC mark: {!run} brackets it with
+      {!gc_start}/{!gc_finish}. *)
 end

@@ -4,15 +4,17 @@
     [Flatcore.Engine.Make] (the CSR + arena flat executor) both produce a
     module of this shape, so call sites — witness replays, the serving
     runner, the CLI — can take the engine as a first-class module and stay
-    agnostic of which implementation runs.  Both drive the same shared
-    code in {!Engine} — the scheduler pools ({!Engine.pool}), every copy
-    and vertex fate ({!Engine.Fate}) and the run telemetry — and differ
-    only in data layout and scheduling mechanics.  The contract is strict:
+    agnostic of which implementation runs.  Both run the same delivery
+    loop, {!Engine.Make.deliver} — scheduler pools, delayed copies, every
+    copy and vertex fate, hooks, journal and telemetry — and differ only
+    in the edge tables and the wire accounting they hand it (and in the
+    flat engine's certified flood fast path).  The contract is strict:
     for equal inputs every field of the returned {!Engine.report} (and
     every deterministic [engine.*] Obs counter) must be identical across
     implementations.  [test/test_flatcore.ml] enforces this byte-for-byte
     for the layout-specific parts: arena and memo bit accounting, CSR
-    target resolution and the flood fast path. *)
+    target resolution (down to each [on_deliver] event) and the flood
+    fast path. *)
 
 module type S = sig
   type state

@@ -1,18 +1,20 @@
 (* The flat engine against the classic engine.
 
-   The flat engine's contract is strictly stronger than Par's: it executes
-   the {e same} delivery schedule as [Runtime.Engine] (same pools, same
-   per-edge PRNG streams, same fate order), so for equal inputs every
-   field of the report — including schedule-dependent measures like
-   delivery counts, bit high-water marks and per-edge arrays — must be
-   byte-for-byte identical, and the deterministic [engine.*] Obs cells
-   must reconcile exactly.  Only the [engine.receive_ns*] wall-clock cells
-   are exempt.
+   Both engines run one delivery loop; the flat one hands it CSR arrays
+   and a message arena where the classic one builds its tables from the
+   [Digraph] and encodes every crossing.  So for equal inputs every field
+   of the report — including schedule-dependent measures like delivery
+   counts, bit high-water marks and per-edge arrays — must be
+   byte-for-byte identical, the [on_deliver] streams must agree event for
+   event, and the deterministic [engine.*] Obs cells must reconcile
+   exactly.  Only the [engine.receive_ns*] wall-clock cells are exempt;
+   the flood fast path, a separate loop, is checked against classic on
+   its own.
 
-   The CSR compilation itself is checked twice: unit tests on a
-   hand-built multigraph (multi-edges, self-loops, port permutations,
-   edge-index round-trips), and a property test that [Flatcore.Graph]
-   answers every local query like [Digraph] on random digraphs. *)
+   The CSR compilation itself is checked on a hand-built multigraph
+   (multi-edges, self-loops, port permutations) and on random digraphs:
+   every per-edge array and degree the engine reads must agree with
+   [Digraph], edge-index round-trips included. *)
 
 module E = Runtime.Engine
 module F = Digraph.Families
@@ -72,18 +74,22 @@ let same_obs ~ctx (a : Obs.t) (b : Obs.t) =
 
 (* {1 CSR builder units} *)
 
-(* Multi-edges 0->1, a self-loop at 1, skewed ports: the shapes that break
-   sloppy port bookkeeping. *)
-let csr_multigraph () =
-  let g =
-    Digraph.make ~n:4 ~s:0 ~t:3
-      [ (0, 1); (0, 1); (1, 1); (1, 2); (2, 3); (0, 3); (2, 1) ]
-  in
+(* Every CSR array the engine reads, against the pointer representation:
+   endpoints and ports of each dense edge, the index round-trip, and the
+   degrees the fast path and the shared loop take. *)
+let csr_matches g =
   let c = Flatcore.Csr.of_digraph g in
   Alcotest.(check int) "n" (Digraph.n_vertices g) (Flatcore.Csr.n_vertices c);
   Alcotest.(check int) "m" (Digraph.n_edges g) (Flatcore.Csr.n_edges c);
   Alcotest.(check int) "s" (Digraph.source g) (Flatcore.Csr.source c);
   Alcotest.(check int) "t" (Digraph.terminal g) (Flatcore.Csr.terminal c);
+  for v = 0 to Digraph.n_vertices g - 1 do
+    let ctx = Printf.sprintf "vertex %d" v in
+    Alcotest.(check int) (ctx ^ ": out_degree") (Digraph.out_degree g v)
+      (Flatcore.Csr.out_degree c v);
+    Alcotest.(check int) (ctx ^ ": in_degree") (Digraph.in_degree g v)
+      (Flatcore.Csr.in_degree c v)
+  done;
   for e = 0 to Digraph.n_edges g - 1 do
     let u, j = Digraph.edge_of_index g e in
     let tv, tp = Digraph.out_port_target_port g u j in
@@ -98,49 +104,12 @@ let csr_multigraph () =
       (Flatcore.Csr.edge_index c u j)
   done
 
-let graph_queries_agree g =
-  let c = Flatcore.Graph.of_digraph g in
-  let fail fmt = QCheck.Test.fail_reportf fmt in
-  if Flatcore.Graph.n_vertices c <> Digraph.n_vertices g then fail "n differs";
-  if Flatcore.Graph.n_edges c <> Digraph.n_edges g then fail "m differs";
-  if Flatcore.Graph.source c <> Digraph.source g then fail "s differs";
-  if Flatcore.Graph.terminal c <> Digraph.terminal g then fail "t differs";
-  List.iter
-    (fun v ->
-      let od = Digraph.out_degree g v and idg = Digraph.in_degree g v in
-      if Flatcore.Graph.out_degree c v <> od then fail "out_degree differs";
-      if Flatcore.Graph.in_degree c v <> idg then fail "in_degree differs";
-      for j = 0 to od - 1 do
-        if Flatcore.Graph.out_neighbor c v j <> Digraph.out_neighbor g v j then
-          fail "out_neighbor differs";
-        if
-          Flatcore.Graph.out_port_target_port c v j
-          <> Digraph.out_port_target_port g v j
-        then fail "out_port_target_port differs";
-        let e = Digraph.edge_index g v j in
-        if Flatcore.Graph.edge_index c v j <> e then fail "edge_index differs";
-        if Flatcore.Graph.edge_of_index c e <> (v, j) then
-          fail "edge_of_index differs"
-      done;
-      for i = 0 to idg - 1 do
-        if Flatcore.Graph.in_origin c v i <> Digraph.in_origin g v i then
-          fail "in_origin differs"
-      done;
-      let collect iter_out graph =
-        let acc = ref [] in
-        iter_out graph v (fun j w -> acc := (j, w) :: !acc);
-        List.rev !acc
-      in
-      if collect Flatcore.Graph.iter_out c <> collect Digraph.iter_out g then
-        fail "iter_out differs";
-      if
-        Flatcore.Graph.fold_out c v ~init:0 (fun a _ w -> a + w)
-        <> Digraph.fold_out g v ~init:0 (fun a _ w -> a + w)
-      then fail "fold_out differs")
-    (Digraph.vertices g);
-  if Flatcore.Graph.edges c <> Digraph.edges g then fail "edges differ";
-  if Flatcore.Graph.classify c <> Digraph.classify g then fail "classify differs";
-  true
+(* Multi-edges 0->1, a self-loop at 1, skewed ports: the shapes that break
+   sloppy port bookkeeping. *)
+let csr_multigraph () =
+  csr_matches
+    (Digraph.make ~n:4 ~s:0 ~t:3
+       [ (0, 1); (0, 1); (1, 1); (1, 2); (2, 3); (0, 3); (2, 1) ])
 
 (* {1 Flat == classic, per suite protocol} *)
 
@@ -208,42 +177,48 @@ let equivalence_tests =
 
 (* {1 Chaos parity: faults x vfaults x supervisor x churn} *)
 
+let chaos_graph ~family seed =
+  match family with
+  | `Trees ->
+      F.random_grounded_tree (Prng.create (40 + seed)) ~n:24 ~t_edge_prob:0.3
+  | `Dags ->
+      F.random_dag (Prng.create (40 + seed)) ~n:20 ~extra_edges:10
+        ~t_edge_prob:0.3
+  | `Digraphs ->
+      F.random_digraph (Prng.create (40 + seed)) ~n:16 ~extra_edges:12
+        ~back_edges:4 ~t_edge_prob:0.25
+
+(* Edge faults, vertex faults, churn and a supervisor, all seeded. *)
+let chaos_plans seed =
+  let faults =
+    Runtime.Faults.create ~drop:0.1 ~duplicate:0.05 ~max_delay:3 ~corrupt:0.1
+      ~kill:0.04 ~seed ()
+  in
+  let vfaults =
+    Runtime.Vfaults.uniform
+      (Runtime.Vfaults.plan ~crash:0.05 ~max_downtime:3
+         ~recovery:Runtime.Vfaults.Amnesia ~stutter:0.05 ())
+      ~seed
+  in
+  let churn =
+    Runtime.Churn.uniform
+      (Runtime.Churn.plan ~remove:0.08 ~max_downtime:4 ())
+      ~seed
+  in
+  let supervisor =
+    { Runtime.Supervisor.default with max_retries = 3; seed = seed * 7 }
+  in
+  (faults, vfaults, churn, supervisor)
+
 let chaos_parity (type s m)
     (module P : Runtime.Protocol_intf.CHECKABLE
       with type state = s
        and type message = m) name ~family () =
   for seed = 1 to 6 do
-    let g =
-      match family with
-      | `Trees ->
-          F.random_grounded_tree (Prng.create (40 + seed)) ~n:24 ~t_edge_prob:0.3
-      | `Dags ->
-          F.random_dag (Prng.create (40 + seed)) ~n:20 ~extra_edges:10
-            ~t_edge_prob:0.3
-      | `Digraphs ->
-          F.random_digraph (Prng.create (40 + seed)) ~n:16 ~extra_edges:12
-            ~back_edges:4 ~t_edge_prob:0.25
-    in
+    let g = chaos_graph ~family seed in
     let module C = Runtime.Engine.Make (P) in
     let module Fl = Flatcore.Engine.Make (P) in
-    let faults =
-      Runtime.Faults.create ~drop:0.1 ~duplicate:0.05 ~max_delay:3 ~corrupt:0.1
-        ~kill:0.04 ~seed ()
-    in
-    let vfaults =
-      Runtime.Vfaults.uniform
-        (Runtime.Vfaults.plan ~crash:0.05 ~max_downtime:3
-           ~recovery:Runtime.Vfaults.Amnesia ~stutter:0.05 ())
-        ~seed
-    in
-    let churn =
-      Runtime.Churn.uniform
-        (Runtime.Churn.plan ~remove:0.08 ~max_downtime:4 ())
-        ~seed
-    in
-    let supervisor =
-      { Runtime.Supervisor.default with max_retries = 3; seed = seed * 7 }
-    in
+    let faults, vfaults, churn, supervisor = chaos_plans seed in
     let variants =
       [
         ("faults", Some faults, None, None, None);
@@ -273,6 +248,66 @@ let chaos_tests =
         (Printf.sprintf "chaos parity: %s" name)
         `Quick
         (chaos_parity (module P) name ~family:cls))
+    (Anonet.Check_suite.protocols ())
+
+(* {1 Event-stream parity}
+
+   Every field of an [on_deliver] event — step, seq, both endpoints and
+   ports, charged bits — comes from the edge tables and the wire of the
+   engine that ran, and the message is whatever survived the fates.  Under
+   every fate source at once and the non-FIFO pools, the two engines must
+   hand the hook the same stream, message encodings included. *)
+let stream_parity (type s m)
+    (module P : Runtime.Protocol_intf.CHECKABLE
+      with type state = s
+       and type message = m) name ~family () =
+  let module C = Runtime.Engine.Make (P) in
+  let module Fl = Flatcore.Engine.Make (P) in
+  let record acc (ev : E.event) msg =
+    let w = Bitio.Bit_writer.create () in
+    P.encode w msg;
+    acc :=
+      Printf.sprintf "step %d seq %d %d:%d -> %d:%d %d bits [%d]%S" ev.E.step
+        ev.E.seq ev.E.from_vertex ev.E.from_port ev.E.to_vertex ev.E.to_port
+        ev.E.bits (Bitio.Bit_writer.length w) (Bitio.Bit_writer.to_string w)
+      :: !acc
+  in
+  let observed = ref 0 in
+  for seed = 1 to 6 do
+    let g = chaos_graph ~family seed in
+    let faults, vfaults, churn, supervisor = chaos_plans seed in
+    List.iter
+      (fun (sname, mk_sched) ->
+        let ctx = Printf.sprintf "%s/%s/seed-%d" name sname seed in
+        let cl = ref [] and fl = ref [] in
+        let cr =
+          C.run ~scheduler:(mk_sched ()) ~faults ~vfaults ~churn ~supervisor
+            ~on_deliver:(record cl) g
+        in
+        let fr =
+          Fl.run ~scheduler:(mk_sched ()) ~faults ~vfaults ~churn ~supervisor
+            ~on_deliver:(record fl) g
+        in
+        same_reports ~ctx P.digest cr fr;
+        Alcotest.(check (list string)) (ctx ^ ": on_deliver stream") !cl !fl;
+        observed := !observed + List.length !cl)
+      [
+        ("lifo", fun () -> Scheduler.Lifo);
+        ("random", fun () -> Scheduler.Random (Prng.create (seed * 17)));
+        ("edge-priority", fun () -> Scheduler.Edge_priority (fun e -> e mod 3));
+      ]
+  done;
+  (* A seed's fates may swallow every copy; the sweep as a whole must not. *)
+  Alcotest.(check bool) (name ^ ": events observed") true (!observed > 0)
+
+let stream_tests =
+  List.map
+    (fun (name, cls, p) ->
+      let (module P : Runtime.Protocol_intf.CHECKABLE) = p in
+      Alcotest.test_case
+        (Printf.sprintf "on_deliver parity: %s" name)
+        `Quick
+        (stream_parity (module P) name ~family:cls))
     (Anonet.Check_suite.protocols ())
 
 (* {1 Replay parity} *)
@@ -405,11 +440,14 @@ let () =
         [
           Alcotest.test_case "multigraph ports + round-trips" `Quick
             csr_multigraph;
-          H.qcheck_to_alcotest ~count:60 "flat graph == digraph queries"
-            H.arb_digraph graph_queries_agree;
+          H.qcheck_to_alcotest ~count:60 "csr arrays == digraph on random graphs"
+            H.arb_digraph (fun g ->
+              csr_matches g;
+              true);
         ] );
       ("equivalence", equivalence_tests);
       ("chaos", chaos_tests);
+      ("events", stream_tests);
       ( "replay",
         [
           Alcotest.test_case "replay parity: redundant general, every fate"

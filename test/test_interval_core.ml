@@ -159,22 +159,36 @@ let test_accepting () =
   let st2, _ = IC.step ~assign_label:false st2 ~alpha:half ~beta:Is.empty in
   Alcotest.(check bool) "half coverage not accepting" false (IC.accepting st2)
 
-let test_sent_drift_caught () =
+(* At an internal vertex [seen_alpha] is what an arrival is split against
+   (new alpha vs detected cycle), so it must stay the label plus every
+   port's alpha.  Each drift keeps the cached size consistent with the
+   drifted set, so only that identity can fail. *)
+let test_seen_alpha_drift_caught () =
   let quarter = Is.interval Exact.Dyadic.zero (Exact.Dyadic.pow2 (-2)) in
   List.iter
     (fun assign_label ->
       let st = IC.create ~out_degree:2 in
       let st, _ = IC.step ~assign_label st ~alpha:Is.unit ~beta:Is.empty in
       let st, _ = IC.step ~assign_label st ~alpha:quarter ~beta:Is.empty in
-      Alcotest.(check bool) "consistent cache passes" true (IC.invariant st);
+      Alcotest.(check bool) "consistent state passes" true (IC.invariant st);
+      let drifted seen_alpha =
+        {
+          st with
+          IC.seen_alpha;
+          size =
+            IC.size_bits st
+            - Is.size_bits st.IC.seen_alpha
+            + Is.size_bits seen_alpha;
+        }
+      in
       List.iter
-        (fun (what, sent) ->
-          Alcotest.(check bool) what false (IC.invariant { st with IC.sent }))
+        (fun (what, seen_alpha) ->
+          Alcotest.(check bool) what false (IC.invariant (drifted seen_alpha)))
         [
-          ("stale sent (empty) fails", Is.empty);
-          ("sent missing a piece fails", Is.diff st.IC.sent quarter);
-          ( "sent with extra content fails",
-            Is.union st.IC.sent
+          ("stale seen_alpha (empty) fails", Is.empty);
+          ("seen_alpha missing a piece fails", Is.diff st.IC.seen_alpha quarter);
+          ( "seen_alpha with extra content fails",
+            Is.union st.IC.seen_alpha
               (Is.interval Exact.Dyadic.one (Exact.Dyadic.of_int 2)) );
         ])
     [ false; true ]
@@ -214,7 +228,8 @@ let () =
           Alcotest.test_case "beta before init" `Quick test_beta_only_before_init;
           Alcotest.test_case "quiet when nothing new" `Quick test_quiet_when_nothing_new;
           Alcotest.test_case "accepting" `Quick test_accepting;
-          Alcotest.test_case "sent drift caught" `Quick test_sent_drift_caught;
+          Alcotest.test_case "seen_alpha drift caught" `Quick
+            test_seen_alpha_drift_caught;
           Alcotest.test_case "size drift caught" `Quick test_size_drift_caught;
         ] );
       ( "properties",
